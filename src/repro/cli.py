@@ -26,6 +26,7 @@ import sys
 from typing import List, Optional
 
 from .agents.darkvisitors import AI_USER_AGENT_TOKENS, build_registry
+from .columnar import atomic_write
 from .core.aitxt import AiTxtPolicy
 from .core.classify import classify
 from .core.diagnostics import lint
@@ -590,8 +591,8 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
             directory = Path(args.results_dir) / label
             directory.mkdir(parents=True, exist_ok=True)
             for result in report.results:
-                (directory / f"{result.experiment_id}.txt").write_text(
-                    result.text + "\n"
+                atomic_write(
+                    directory / f"{result.experiment_id}.txt", result.text + "\n"
                 )
         print(f"result texts written under {args.results_dir}/")
 
@@ -921,8 +922,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
                   if rows else "  (no experiment spans)")
         if args.folded:
             lines = folded_stacks(records)
-            with open(args.folded, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
+            atomic_write(args.folded, "\n".join(lines) + "\n")
             print(f"\nwrote {len(lines)} folded stack lines to {args.folded}")
         return 0
     except TelemetryError as exc:

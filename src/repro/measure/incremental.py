@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from pathlib import Path
-from threading import Lock
 from typing import Dict, Optional, Tuple, Union
 
-from ..core.classify import Classification, RestrictionLevel
+from ..columnar import schema_fingerprint
+from ..core.classify import Classification
+from ..web.archive import BodyFacts
 
 __all__ = [
     "IncrementalStore",
@@ -60,12 +60,7 @@ _SCHEMA = {
     "experiment": ["experiment_id", "title", "text", "metrics"],
 }
 
-SCHEMA_FINGERPRINT = hashlib.sha256(
-    json.dumps(_SCHEMA, sort_keys=True, separators=(",", ":")).encode("utf-8")
-).hexdigest()
-
-#: Valid boolean-verdict families in ``bodies.json``.
-_FLAG_KINDS = ("full_any", "explicit_allow", "allow_any")
+SCHEMA_FINGERPRINT = schema_fingerprint(_SCHEMA)
 
 
 def params_digest(payload: object) -> str:
@@ -101,17 +96,7 @@ def experiment_input_key(
     )
 
 
-def _atomic_write(path: Path, payload: object) -> None:
-    """Write JSON via tmp + rename so readers never see a torn file."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
-class IncrementalStore:
+class IncrementalStore(BodyFacts):
     """On-disk memo for body verdicts and finished experiment results.
 
     Thread-safe; all mutation happens in memory and persists on
@@ -121,14 +106,9 @@ class IncrementalStore:
     """
 
     def __init__(self, root: Union[str, Path]):
+        super().__init__()
         self.root = Path(root)
-        self._lock = Lock()
-        self._classifications: Dict[str, Dict[str, list]] = {}
-        self._flags: Dict[str, Dict[str, Dict[str, bool]]] = {
-            kind: {} for kind in _FLAG_KINDS
-        }
         self._experiments: Dict[str, Dict[str, object]] = {}
-        self._dirty = False
         #: True when an on-disk store existed but carried a stale
         #: schema fingerprint (its contents were discarded).
         self.schema_invalidated = False
@@ -166,9 +146,7 @@ class IncrementalStore:
             )
         except (OSError, ValueError):
             experiments = {}
-        self._classifications = bodies.get("classify", {})
-        for kind in _FLAG_KINDS:
-            self._flags[kind] = bodies.get(kind, {})
+        self._load_facts(bodies)
         self._experiments = experiments
 
     def flush(self) -> None:
@@ -177,60 +155,21 @@ class IncrementalStore:
             if not self._dirty:
                 return
             self.root.mkdir(parents=True, exist_ok=True)
-            _atomic_write(
-                self.meta_path, {"schema_fingerprint": SCHEMA_FINGERPRINT}
-            )
-            bodies = {"classify": self._classifications}
-            for kind in _FLAG_KINDS:
-                bodies[kind] = self._flags[kind]
-            _atomic_write(self.bodies_path, bodies)
-            _atomic_write(self.experiments_path, self._experiments)
+            self._write_json(self.meta_path, {"schema_fingerprint": SCHEMA_FINGERPRINT})
+            self._write_json(self.bodies_path, self._facts_payload())
+            self._write_json(self.experiments_path, self._experiments)
             self._dirty = False
 
     # -- body-level verdicts ---------------------------------------------------
+    # perfbench/layers.py wraps these two by name on this class.
 
     def get_classification(
         self, body_digest: str, user_agent: str, require_explicit: bool
     ) -> Optional[Classification]:
-        entry = self._classifications.get(body_digest)
-        if entry is None:
-            return None
-        row = entry.get(f"{user_agent}|{int(require_explicit)}")
-        if row is None:
-            return None
-        level, explicit, explicit_allow = row
-        return Classification(
-            level=RestrictionLevel(level),
-            explicit=bool(explicit),
-            explicit_allow=bool(explicit_allow),
-        )
+        return super().get_classification(body_digest, user_agent, require_explicit)
 
-    def put_classification(
-        self,
-        body_digest: str,
-        user_agent: str,
-        require_explicit: bool,
-        result: Classification,
-    ) -> None:
-        with self._lock:
-            entry = self._classifications.setdefault(body_digest, {})
-            entry[f"{user_agent}|{int(require_explicit)}"] = [
-                int(result.level),
-                bool(result.explicit),
-                bool(result.explicit_allow),
-            ]
-            self._dirty = True
-
-    def get_flag(
-        self, kind: str, body_digest: str, key: str
-    ) -> Optional[bool]:
-        entry = self._flags[kind].get(body_digest)
-        return None if entry is None else entry.get(key)
-
-    def put_flag(self, kind: str, body_digest: str, key: str, value: bool) -> None:
-        with self._lock:
-            self._flags[kind].setdefault(body_digest, {})[key] = bool(value)
-            self._dirty = True
+    def get_flag(self, kind: str, body_digest: str, key: str) -> Optional[bool]:
+        return super().get_flag(kind, body_digest, key)
 
     # -- experiment results ----------------------------------------------------
 
@@ -270,14 +209,6 @@ class IncrementalStore:
             self._dirty = True
 
     # -- introspection ---------------------------------------------------------
-
-    def body_entry_count(self) -> int:
-        """Distinct stored body verdicts across all families."""
-        return sum(len(rows) for rows in self._classifications.values()) + sum(
-            len(rows)
-            for kind in _FLAG_KINDS
-            for rows in self._flags[kind].values()
-        )
 
     def experiment_count(self) -> int:
         return len(self._experiments)

@@ -38,6 +38,8 @@ import threading
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from ..columnar import atomic_write
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -481,9 +483,7 @@ def export_metrics(path, registry: Optional["MetricsRegistry"] = None) -> None:
     """Write *registry* (default: the shared one) as JSON to *path*."""
     registry = registry if registry is not None else shared_registry()
     payload = registry.to_json()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=False) + "\n")
 
 
 _SHARED_REGISTRY = MetricsRegistry()

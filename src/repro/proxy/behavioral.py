@@ -37,12 +37,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Deque, Dict, Mapping, Optional, Tuple, Union
 
+from ..columnar import atomic_write
 from ..net.accesslog import LogEntry, agent_label, clock_ticks
 from ..obs.features import _ROUND, _entropy_bits, _percentile, extract_features
 from ..obs.metrics import metrics_enabled
@@ -517,9 +517,4 @@ def write_verdicts(
         "verdicts": verdicts,
     }
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
-    os.replace(tmp, path)
-    return path
+    return atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")

@@ -94,7 +94,7 @@ class TestStreamingParity:
         warm = streaming_full_disallow_trend(archive, store=store)
         top5k = {s.domain for s in population.stable_top5k}
         assert cold == warm == full_disallow_trend(series, top5k)
-        assert store.fact_count() > 0
+        assert store.body_entry_count() > 0
 
 
 class TestStreamingRunners:

@@ -260,6 +260,27 @@ def test_verify_catches_ua_table_corruption(tmp_path):
             store.verify()
 
 
+def test_undecodable_ua_is_one_line(tmp_path):
+    root = _one_shard_store(tmp_path)
+    uas = root / "shard-0000" / "uas.bin"
+    blob = bytearray(uas.read_bytes())
+    blob[0] = 0xFF
+    uas.write_bytes(bytes(blob))
+    with LogStore.open(root) as store:
+        with pytest.raises(LogStoreError, match="corrupt UA table .*uas.bin"):
+            list(store.records())
+
+
+def test_altered_ua_fails_its_digest(tmp_path):
+    # Still valid UTF-8 and the same size: only the digest catches it.
+    root = _one_shard_store(tmp_path)
+    uas = root / "shard-0000" / "uas.bin"
+    uas.write_bytes(uas.read_bytes().replace(b"AgentOne", b"AgentOnf"))
+    with LogStore.open(root) as store:
+        with pytest.raises(LogStoreError, match="UA table digest mismatch .*uas.bin"):
+            list(store.records())
+
+
 def test_reader_ua_text_and_columns(tmp_path):
     root = _one_shard_store(tmp_path)
     with LogShardReader(root / "shard-0000") as reader:

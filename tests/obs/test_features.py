@@ -162,6 +162,6 @@ def test_write_features_creates_missing_parents_atomically(tmp_path):
     with _store(tmp_path, rows) as store:
         written = write_features(store, target)
     assert written == target and target.is_file()
-    # Atomic rename: no stale .tmp sibling left behind.
-    assert not target.with_name(target.name + ".tmp").exists()
+    # Atomic rename: no temp file of any name left behind.
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
     assert json.loads(target.read_text())["n_records"] == 1

@@ -356,4 +356,4 @@ class TestOfflineScoring:
         assert sum(payload["summary"].values()) == 2
         entry = payload["verdicts"]["Bytespider"]["h.example"]
         assert set(entry) == {"verdict", "score", "signals"}
-        assert not target.with_name(target.name + ".tmp").exists()
+        assert [p.name for p in target.parent.iterdir()] == [target.name]

@@ -110,7 +110,7 @@ class TestRoundTrip:
 
 class TestDamage:
     def test_missing_root_is_one_line(self, tmp_path):
-        with pytest.raises(ArchiveError, match="no shard archives under"):
+        with pytest.raises(ArchiveError, match="not a snapshot archive"):
             ArchiveSet.open(tmp_path / "nowhere")
 
     def test_truncated_column_is_one_line(self, archive_root):
@@ -122,13 +122,13 @@ class TestDamage:
     def test_corrupt_manifest_is_one_line(self, archive_root):
         manifest = archive_root / shard_dir_name(1) / "manifest.json"
         manifest.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ArchiveError, match="corrupt shard manifest"):
+        with pytest.raises(ArchiveError, match="corrupt archive manifest"):
             ArchiveSet.open(archive_root)
 
     def test_missing_shard_is_one_line(self, archive_root):
         manifest = archive_root / shard_dir_name(1) / "manifest.json"
         manifest.unlink()
-        with pytest.raises(ArchiveError, match="not a shard archive"):
+        with pytest.raises(ArchiveError, match="no manifest"):
             ArchiveSet.open(archive_root)
 
     def test_stale_schema_is_one_line(self, archive_root):
@@ -148,6 +148,28 @@ class TestDamage:
         manifest.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(ArchiveError, match="different world"):
             ArchiveSet.open(root)
+
+    def test_undecodable_body_is_one_line(self, archive_root):
+        bodies = archive_root / shard_dir_name(0) / "bodies.bin"
+        blob = bytearray(bodies.read_bytes())
+        blob[0] = 0xFF
+        bodies.write_bytes(bytes(blob))
+        with ArchiveSet.open(archive_root) as archive:
+            with pytest.raises(ArchiveError, match="corrupt body table .*bodies.bin"):
+                archive.snapshots()
+
+    def test_altered_body_fails_its_digest(self, archive_root):
+        # Still valid UTF-8 and the same size: only the digest catches it.
+        bodies = archive_root / shard_dir_name(0) / "bodies.bin"
+        bodies.write_bytes(bodies.read_bytes().replace(b"GPTBot", b"XPTBot"))
+        with ArchiveSet.open(archive_root) as archive:
+            with pytest.raises(ArchiveError, match="body table digest mismatch .*bodies.bin"):
+                archive.snapshots()
+
+    def test_stray_file_beside_shards_is_ignored(self, archive_root):
+        (archive_root / "shard-notes.txt").write_text("notes", encoding="utf-8")
+        with ArchiveSet.open(archive_root) as archive:
+            assert [reader.shard_id for reader in archive.readers] == [0, 1]
 
     def test_interrupted_write_never_commits(self, tmp_path):
         # No manifest -> the shard directory is not a valid archive,
