@@ -19,8 +19,9 @@ A process-wide shared cache (:func:`shared_policy_cache`) serves both
 the analysis pipelines (:mod:`repro.measure`) and the crawl testbed
 (:mod:`repro.crawlers.engine`), so the same compiled object answers for
 a given body everywhere.  Compiled policies are immutable after parse
-and safe to share across threads; the cache itself is lock-protected so
-parallel snapshot collection can use it.
+and safe to share across threads; the cache serializes its writers
+behind a lock (hits are a lock-free dict probe) so parallel snapshot
+collection can use it.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
-from .matcher import CompiledPattern, Rule, Verdict, compile_pattern, normalize_path
+from .matcher import CompiledRule, Verdict, compile_rules, evaluate_compiled
 from .parser import ParsedRobots
 from .policy import AgentRules, RobotsPolicy
 
@@ -42,49 +43,6 @@ __all__ = [
     "evaluate_compiled",
     "shared_policy_cache",
 ]
-
-
-#: A compiled rule: the precomputed pattern plus the original rule (the
-#: original is retained so verdicts can report the winning source line).
-CompiledRule = Tuple[CompiledPattern, Rule]
-
-
-def compile_rules(rules: Iterable[Rule]) -> Tuple[CompiledRule, ...]:
-    """Compile a merged rule set, dropping empty (match-nothing) rules."""
-    out = []
-    for rule in rules:
-        compiled = compile_pattern(rule.path)
-        if compiled is None:
-            continue
-        out.append((compiled, rule))
-    return tuple(out)
-
-
-def evaluate_compiled(
-    compiled_rules: Iterable[CompiledRule], path: str, *, normalized: bool = False
-) -> Verdict:
-    """Longest-match evaluation over pre-compiled rules.
-
-    Behaviorally identical to :func:`repro.core.matcher.evaluate` (same
-    precedence, same allow-wins tie break, same winning rule), but no
-    per-query pattern normalization happens.  Pass ``normalized=True``
-    when *path* already went through :func:`normalize_path`.
-    """
-    if not normalized:
-        path = normalize_path(path)
-    best_priority = -1
-    best_rule: Optional[Rule] = None
-    for pattern, rule in compiled_rules:
-        if not pattern.matches(path):
-            continue
-        if best_rule is None or pattern.priority > best_priority or (
-            pattern.priority == best_priority and rule.allow and not best_rule.allow
-        ):
-            best_priority = pattern.priority
-            best_rule = rule
-    if best_rule is None:
-        return Verdict(allowed=True, rule=None)
-    return Verdict(allowed=best_rule.allow, rule=best_rule)
 
 
 @dataclass(frozen=True)
@@ -196,14 +154,15 @@ class CompiledPolicyCache:
 
     def policy(self, source: Union[str, bytes]) -> CompiledRobots:
         """The compiled policy for *source*, compiling on first sight."""
-        with self._lock:
-            # Exact-text fast path: CPython caches str hashes and the
-            # crawl pipelines intern bodies, so for the hot repeated
-            # queries this is a plain dict probe with no SHA-256 pass.
-            cached = self._by_source.get(source)
-            if cached is not None:
-                self.hits += 1
-                return cached
+        # Exact-text fast path: CPython caches str hashes and the crawl
+        # pipelines intern bodies, so a repeated query is one dict probe
+        # with no SHA-256 pass and no lock (a single ``dict.get`` is
+        # atomic; writers below hold the lock).  The unlocked tally may
+        # drop an increment under thread races; it is a gauge.
+        cached = self._by_source.get(source)
+        if cached is not None:
+            self.hits += 1
+            return cached
         key = policy_digest(source)
         with self._lock:
             cached = self._by_digest.get(key)

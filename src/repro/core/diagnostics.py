@@ -14,8 +14,8 @@ import enum
 from dataclasses import dataclass
 from typing import List, Union
 
-from .lexer import LineKind, canonical_directive, tokenize
-from .parser import parse
+from .lexer import LineKind, canonical_directive
+from .parser import ParsedRobots, parse
 
 __all__ = ["Severity", "Finding", "lint", "has_mistakes"]
 
@@ -55,8 +55,11 @@ class Finding:
     message: str
 
 
-def lint(source: Union[str, bytes]) -> List[Finding]:
+def lint(source: Union[str, bytes, ParsedRobots]) -> List[Finding]:
     """Lint robots.txt *source*, returning all findings in line order.
+
+    *source* may be an existing parse (e.g. a cached policy's
+    ``parsed``); its token stream is linted without re-tokenizing.
 
     Detected mistake classes:
 
@@ -76,8 +79,8 @@ def lint(source: Union[str, bytes]) -> List[Finding]:
     ['path-missing-slash']
     """
     findings: List[Finding] = []
-    lines = tokenize(source)
-    parsed = parse(source)
+    parsed = source if isinstance(source, ParsedRobots) else parse(source)
+    lines = parsed.source_lines
 
     any_directive = False
     for line in lines:
@@ -155,7 +158,7 @@ def lint(source: Union[str, bytes]) -> List[Finding]:
     return findings
 
 
-def has_mistakes(source: Union[str, bytes]) -> bool:
+def has_mistakes(source: Union[str, bytes, ParsedRobots]) -> bool:
     """Whether the file contains author mistakes (warning or error).
 
     This is the per-site predicate behind the paper's ~1% mistake rate;

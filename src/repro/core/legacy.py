@@ -29,6 +29,7 @@ from typing import List, Optional, Sequence, Union
 
 from .lexer import Line, LineKind, tokenize
 from .matcher import Rule, Verdict, evaluate, first_match
+from .parser import ParsedRobots
 
 __all__ = ["LegacyQuirks", "LegacyPolicy"]
 
@@ -71,11 +72,17 @@ class LegacyPolicy:
 
     def __init__(
         self,
-        source: Union[str, bytes],
+        source: Union[str, bytes, ParsedRobots],
         quirks: LegacyQuirks = LegacyQuirks(),
     ):
         self.quirks = quirks
-        self._groups = self._parse(tokenize(source))
+        # A compliant parse already holds the file's token stream; only
+        # the grouping below (the object under test) is redone.
+        if isinstance(source, ParsedRobots):
+            lines = source.source_lines
+        else:
+            lines = tokenize(source)
+        self._groups = self._parse(lines)
 
     def _parse(self, lines: Sequence[Line]) -> List[_LegacyGroup]:
         groups: List[_LegacyGroup] = []

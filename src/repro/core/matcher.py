@@ -18,6 +18,8 @@ rule wins (least-restrictive tie break).
 
 from __future__ import annotations
 
+import functools
+import string
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 from urllib.parse import quote, unquote
@@ -25,11 +27,14 @@ from urllib.parse import quote, unquote
 __all__ = [
     "Rule",
     "CompiledPattern",
+    "CompiledRule",
     "compile_pattern",
+    "compile_rules",
     "normalize_path",
     "pattern_matches",
     "match_priority",
     "evaluate",
+    "evaluate_compiled",
     "Verdict",
 ]
 
@@ -37,6 +42,18 @@ __all__ = [
 #: the set that mainstream parsers leave untouched: RFC 3986 unreserved
 #: plus sub-delims plus the path/query structural characters.
 _SAFE = "/~!$&'()*+,;=:@%-._"
+
+#: Characters ``quote`` never escapes (RFC 3986 unreserved plus
+#: :data:`_SAFE`), minus ``%``: a path made only of these is already in
+#: canonical form, since ``unquote`` leaves it alone and so does ``quote``.
+_VERBATIM = frozenset(
+    string.ascii_letters + string.digits + "_.-~" + _SAFE.replace("%", "")
+)
+
+#: Bound of the process-wide compiled-pattern memo.  Patterns repeat
+#: across bodies (operator templates) and across queries: the whole
+#: battery compiles under two dozen distinct ones.
+_PATTERN_MEMO_SIZE = 4096
 
 
 def normalize_path(path: str) -> str:
@@ -53,6 +70,8 @@ def normalize_path(path: str) -> str:
     """
     if not path:
         return "/"
+    if _VERBATIM.issuperset(path):
+        return path
     return quote(unquote(path), safe=_SAFE)
 
 
@@ -124,11 +143,13 @@ class CompiledPattern(NamedTuple):
         return path.find(last, pos) != -1
 
 
+@functools.lru_cache(maxsize=_PATTERN_MEMO_SIZE)
 def compile_pattern(pattern: str) -> Optional[CompiledPattern]:
     """Normalize *pattern* once and precompute its match structure.
 
     Returns None for the empty pattern, which matches nothing (per RFC
-    an empty ``Disallow`` value imposes no restriction).
+    an empty ``Disallow`` value imposes no restriction).  A pure
+    function of the pattern string, so it is memoized process-wide.
     """
     if pattern == "":
         return None
@@ -182,34 +203,46 @@ class Verdict:
     rule: Optional[Rule] = None
 
 
+#: A compiled rule: the precomputed pattern plus the original rule (the
+#: original is retained so verdicts can report the winning source line).
+CompiledRule = Tuple[CompiledPattern, Rule]
+
+
+def compile_rules(rules: Iterable[Rule]) -> Tuple[CompiledRule, ...]:
+    """Compile a merged rule set, dropping empty (match-nothing) rules."""
+    compiled = ((compile_pattern(rule.path), rule) for rule in rules)
+    return tuple(entry for entry in compiled if entry[0] is not None)
+
+
 def evaluate(rules: Iterable[Rule], path: str) -> Verdict:
     """Evaluate *path* against *rules* using longest-match precedence.
 
     Returns an allow verdict when no rule matches (the protocol default)
     and applies the allow-wins tie break for equal-priority matches.
     """
+    return evaluate_compiled(compile_rules(rules), path)
+
+
+def evaluate_compiled(compiled_rules: Iterable[CompiledRule], path: str) -> Verdict:
+    """Longest-match evaluation over rules from :func:`compile_rules`.
+
+    Only *path* is normalized per query: the patterns were normalized
+    once, at compile time.
+    """
     path = normalize_path(path)
-    best: Optional[Tuple[int, Rule]] = None
-    for rule in rules:
-        if rule.is_empty:
+    best_priority = -1
+    best_rule: Optional[Rule] = None
+    for pattern, rule in compiled_rules:
+        if not pattern.matches(path):
             continue
-        # Compile (normalize) the pattern exactly once per rule: the
-        # match test and its priority both come from the compiled form.
-        compiled = compile_pattern(rule.path)
-        if compiled is None or not compiled.matches(path):
-            continue
-        priority = compiled.priority
-        if best is None:
-            best = (priority, rule)
-            continue
-        best_priority, best_rule = best
-        if priority > best_priority:
-            best = (priority, rule)
-        elif priority == best_priority and rule.allow and not best_rule.allow:
-            best = (priority, rule)
-    if best is None:
+        if best_rule is None or pattern.priority > best_priority or (
+            pattern.priority == best_priority and rule.allow and not best_rule.allow
+        ):
+            best_priority = pattern.priority
+            best_rule = rule
+    if best_rule is None:
         return Verdict(allowed=True, rule=None)
-    return Verdict(allowed=best[1].allow, rule=best[1])
+    return Verdict(allowed=best_rule.allow, rule=best_rule)
 
 
 def first_match(rules: Sequence[Rule], path: str) -> Verdict:
@@ -220,10 +253,7 @@ def first_match(rules: Sequence[Rule], path: str) -> Verdict:
     parser and the ablation benchmarks can compare the two disciplines.
     """
     path = normalize_path(path)
-    for rule in rules:
-        if rule.is_empty:
-            continue
-        compiled = compile_pattern(rule.path)
-        if compiled is not None and compiled.matches(path):
+    for compiled, rule in compile_rules(rules):
+        if compiled.matches(path):
             return Verdict(allowed=rule.allow, rule=rule)
     return Verdict(allowed=True, rule=None)

@@ -15,8 +15,9 @@ are ignored; all matching specific groups are merged, per the RFC's
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .matcher import Rule, Verdict, evaluate
 from .parser import Group, ParsedRobots, parse
@@ -27,7 +28,12 @@ _TOKEN_CHARS = frozenset(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-_"
 )
 
+#: Bound of the process-wide product-token memo: a run queries a few
+#: dozen crawler names and user-agent strings, over and over.
+_PRODUCT_TOKEN_MEMO_SIZE = 1024
 
+
+@functools.lru_cache(maxsize=_PRODUCT_TOKEN_MEMO_SIZE)
 def extract_product_token(user_agent: str) -> str:
     """Extract the product token from a full user-agent string.
 
@@ -54,15 +60,6 @@ def extract_product_token(user_agent: str) -> str:
         else:
             break
     return "".join(out)
-
-
-def _agent_matches(group_token: str, crawler_token: str) -> bool:
-    """Whether a group's agent token governs a crawler product token."""
-    group_token = group_token.lower()
-    crawler_token = crawler_token.lower()
-    if not group_token:
-        return False
-    return crawler_token.startswith(group_token)
 
 
 @dataclass(frozen=True)
@@ -101,6 +98,13 @@ class RobotsPolicy:
             self._parsed = source
         else:
             self._parsed = parse(source)
+        # Each group's specific (non-wildcard) agent tokens, lowercased
+        # once per policy; groups naming only ``*`` never match here.
+        self._specific_agents: List[Tuple[Group, Tuple[str, ...]]] = []
+        for group in self._parsed.groups:
+            tokens = tuple(t for t in group.agent_tokens() if t != "*")
+            if tokens:
+                self._specific_agents.append((group, tokens))
 
     @classmethod
     def from_parsed(cls, parsed: ParsedRobots) -> "RobotsPolicy":
@@ -129,22 +133,24 @@ class RobotsPolicy:
         matching token apply (the RFC's most-specific-match rule), and
         multiple groups with that token are merged.
         """
-        token = extract_product_token(user_agent) or user_agent
+        # A group token governs the crawler when it is a non-empty
+        # case-insensitive prefix of the crawler's product token.
+        token = (extract_product_token(user_agent) or user_agent).lower()
         # Some agent names contain characters outside the product-token
         # alphabet ("Kangaroo Bot", "ICC Crawler"); an exact full-string
         # comparison covers those.
         full = user_agent.strip().lower()
         best_len = -1
         matched: List[Group] = []
-        for group in self._parsed.groups:
+        for group, agent_tokens in self._specific_agents:
             # A group may list several tokens that match this crawler
             # (e.g. "foo" and "foobot"); its specificity is the longest.
             group_len = max(
                 (
                     len(agent_token)
-                    for agent_token in group.agent_tokens()
-                    if agent_token != "*"
-                    and (_agent_matches(agent_token, token) or agent_token == full)
+                    for agent_token in agent_tokens
+                    if (agent_token and token.startswith(agent_token))
+                    or agent_token == full
                 ),
                 default=-1,
             )

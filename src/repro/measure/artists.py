@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..agents.darkvisitors import AI_USER_AGENT_TOKENS
 from ..core.classify import classify
+from ..core.compiled import shared_policy_cache
 from ..net.dns import DnsZone, ProviderInfra
 from ..net.errors import NetError
 from ..net.http import Headers, Request
@@ -109,9 +110,11 @@ def _site_disallows_ai(network: Network, host: str) -> bool:
         return False
     if response.status != 200:
         return False
-    text = response.text
+    # Provider templates repeat across sites: classify the body's one
+    # shared compiled policy, not a fresh parse per site.
+    policy = shared_policy_cache().policy(response.text)
     return any(
-        classify(text, token).level.disallows for token in AI_USER_AGENT_TOKENS
+        classify(policy, token).level.disallows for token in AI_USER_AGENT_TOKENS
     )
 
 

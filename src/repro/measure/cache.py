@@ -9,10 +9,11 @@ fraction of the number of (domain, snapshot, agent) queries.
 :class:`PolicyCache` memoizes the three classification primitives the
 pipelines use -- :func:`~repro.core.classify.classify`,
 :func:`~repro.core.classify.fully_disallows_any`, and
-:func:`~repro.core.classify.explicitly_allows` -- keyed by the
-content-addressed compiled policy (one per unique body, via
-:class:`~repro.core.compiled.CompiledPolicyCache`) plus the query
-parameters.  Results are the uncached functions' results, computed once.
+:func:`~repro.core.classify.explicitly_allows` -- keyed by the body
+plus the query parameters; a miss computes over the content-addressed
+compiled policy (one per unique body, via
+:class:`~repro.core.compiled.CompiledPolicyCache`).  Results are the
+uncached functions' results, computed once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ if False:  # typing-only; avoids a runtime import cycle
 
 __all__ = ["PolicyCache"]
 
+Body = Union[str, bytes]
+
 
 class PolicyCache:
     """Memoized robots.txt classification over unique bodies.
@@ -47,14 +50,13 @@ class PolicyCache:
 
     def __init__(self, compiled: Optional[CompiledPolicyCache] = None):
         self._compiled = compiled if compiled is not None else shared_policy_cache()
-        # Keys hold the compiled policy object itself (identity-hashed),
-        # which both pins it alive and avoids re-hashing body text.
-        self._classifications: Dict[
-            Tuple[CompiledRobots, str, bool], Classification
-        ] = {}
-        self._full_any: Dict[Tuple[CompiledRobots, Tuple[str, ...], bool], bool] = {}
-        self._explicit_allow: Dict[Tuple[CompiledRobots, str], bool] = {}
-        self._allow_any: Dict[Tuple[CompiledRobots, Tuple[str, ...]], bool] = {}
+        # Keys hold the body itself: CPython caches str/bytes hashes, so
+        # a memo hit is one dict probe, with no trip through the compile
+        # cache (whose text->policy map is consulted on misses only).
+        self._classifications: Dict[Tuple[Body, str, bool], Classification] = {}
+        self._full_any: Dict[Tuple[Body, Tuple[str, ...], bool], bool] = {}
+        self._explicit_allow: Dict[Tuple[Body, str], bool] = {}
+        self._allow_any: Dict[Tuple[Body, Tuple[str, ...]], bool] = {}
         # Plain ints on the hot path; exported as gauges via publish()
         # (memo probe tallies are process-local observations).
         self.hits = 0
@@ -126,10 +128,10 @@ class PolicyCache:
         """Memoized :func:`~repro.core.classify.classify`."""
         if text is None:
             return classify(None, user_agent, require_explicit=require_explicit)
-        policy = self.policy(text)
-        key = (policy, user_agent, require_explicit)
+        key = (text, user_agent, require_explicit)
         cached = self._classifications.get(key)
         if cached is None:
+            policy = self.policy(text)
             if self._store is not None:
                 cached = self._store.get_classification(
                     self._digest(policy, text), user_agent, require_explicit
@@ -158,13 +160,13 @@ class PolicyCache:
         """Memoized :func:`~repro.core.classify.fully_disallows_any`."""
         if text is None:
             return False
-        policy = self.policy(text)
         agents = tuple(user_agents)
-        key = (policy, agents, require_explicit)
+        key = (text, agents, require_explicit)
         cached = self._full_any.get(key)
         if cached is not None:
             self.hits += 1
             return cached
+        policy = self.policy(text)
         if self._store is not None:
             params = _agents_key(agents, require_explicit)
             stored = self._store.get_flag(
@@ -196,10 +198,10 @@ class PolicyCache:
         """Memoized :func:`~repro.core.classify.explicitly_allows`."""
         if text is None:
             return False
-        policy = self.policy(text)
-        key = (policy, user_agent)
+        key = (text, user_agent)
         cached = self._explicit_allow.get(key)
         if cached is None:
+            policy = self.policy(text)
             if self._store is not None:
                 stored = self._store.get_flag(
                     "explicit_allow", self._digest(policy, text), user_agent
@@ -230,13 +232,13 @@ class PolicyCache:
         """
         if text is None:
             return False
-        policy = self.policy(text)
         agents = tuple(user_agents)
-        key = (policy, agents)
+        key = (text, agents)
         cached = self._allow_any.get(key)
         if cached is not None:
             self.hits += 1
             return cached
+        policy = self.policy(text)
         if self._store is not None:
             params = _agents_key(agents)
             stored = self._store.get_flag(

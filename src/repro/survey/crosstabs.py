@@ -5,12 +5,14 @@ staple of measurement-study appendices) is testing *associations*:
 is prior robots.txt awareness associated with professional status?
 does technical familiarity predict adoption intent?  This module builds
 contingency tables from respondent answers and runs chi-square tests of
-independence (via scipy), with a pure-Python fallback statistic so the
-module works without scipy too.
+independence in pure Python: the statistic and p-value match
+``scipy.stats.chi2_contingency`` (Yates-corrected for 2x2 tables), which
+the tests keep as the oracle, without importing scipy at run time.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -89,9 +91,10 @@ class ChiSquareResult:
     """Chi-square test of independence.
 
     Attributes:
-        statistic: The chi-square statistic.
+        statistic: The chi-square statistic (Yates-corrected when
+            dof is 1).
         dof: Degrees of freedom.
-        p_value: Two-sided p-value (None when scipy is unavailable).
+        p_value: Upper-tail p-value (None for a degenerate table).
     """
 
     statistic: float
@@ -105,30 +108,42 @@ def chi_square(table: ContingencyTable) -> ChiSquareResult:
     Rows/columns with zero totals are dropped before testing (standard
     practice; an all-zero margin makes expected counts undefined).
     """
-    counts = [row[:] for row in table.counts]
-    keep_rows = [i for i, total in enumerate(table.row_totals()) if total > 0]
-    keep_cols = [j for j, total in enumerate(table.col_totals()) if total > 0]
-    counts = [[counts[i][j] for j in keep_cols] for i in keep_rows]
-    n_rows, n_cols = len(counts), len(counts[0]) if counts else 0
-    if n_rows < 2 or n_cols < 2:
+    row_totals, col_totals = table.row_totals(), table.col_totals()
+    keep_rows = [i for i, total in enumerate(row_totals) if total > 0]
+    keep_cols = [j for j, total in enumerate(col_totals) if total > 0]
+    if len(keep_rows) < 2 or len(keep_cols) < 2:
         return ChiSquareResult(statistic=0.0, dof=0, p_value=None)
 
-    try:
-        from scipy.stats import chi2_contingency
+    total = sum(row_totals)
+    dof = (len(keep_rows) - 1) * (len(keep_cols) - 1)
+    statistic = 0.0
+    for i in keep_rows:
+        for j in keep_cols:
+            observed = table.counts[i][j]
+            expected = row_totals[i] * col_totals[j] / total
+            if dof == 1:
+                # Yates' continuity correction, as scipy applies it: each
+                # count moves toward its expectation by at most 0.5.
+                gap = expected - observed
+                observed += math.copysign(min(0.5, abs(gap)), gap)
+            diff = observed - expected
+            statistic += diff * diff / expected
+    return ChiSquareResult(statistic, dof, _chi2_upper_tail(statistic, dof))
 
-        statistic, p_value, dof, _ = chi2_contingency(counts)
-        return ChiSquareResult(float(statistic), int(dof), float(p_value))
-    except ImportError:  # pragma: no cover - scipy present in CI
-        total = sum(sum(row) for row in counts)
-        row_totals = [sum(row) for row in counts]
-        col_totals = [sum(row[j] for row in counts) for j in range(n_cols)]
-        statistic = 0.0
-        for i in range(n_rows):
-            for j in range(n_cols):
-                expected = row_totals[i] * col_totals[j] / total
-                if expected:
-                    statistic += (counts[i][j] - expected) ** 2 / expected
-        return ChiSquareResult(statistic, (n_rows - 1) * (n_cols - 1), None)
+
+def _chi2_upper_tail(x: float, dof: int) -> float:
+    """P(X > x) for a chi-square X with integer *dof* >= 1, in closed form.
+
+    Even dof: ``exp(-x/2) * sum_{k<dof/2} (x/2)**k / k!``; odd dof adds
+    the half-integer terms of that series to ``erfc(sqrt(x/2))``.
+    """
+    half, odd = x / 2.0, dof % 2
+    tail = math.erfc(math.sqrt(half)) if odd else 0.0
+    term = math.exp(-half) * (2.0 * math.sqrt(half / math.pi) if odd else 1.0)
+    for k in range(dof // 2):
+        tail += term
+        term *= half / (k + 1 + odd / 2)
+    return tail
 
 
 # -- canned analyses -------------------------------------------------------------

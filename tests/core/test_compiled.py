@@ -1,5 +1,8 @@
 """Compiled policies must agree exactly with the uncompiled engine."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.compiled import (
@@ -186,6 +189,35 @@ class TestCompiledPolicyCache:
         cache.policy("User-agent: *\nDisallow: /\n")
         cache.clear()
         assert len(cache) == 0 and cache.hits == 0 and cache.misses == 0
+
+    def test_concurrent_first_sights_keep_one_policy_per_body(self):
+        # Hits skip the lock; racing first sights of a body must still
+        # publish one compiled policy that every thread then sees.
+        bodies = [f"User-agent: bot{i}\nDisallow: /{i}\n" for i in range(40)]
+        cache = CompiledPolicyCache()
+        seen = [dict() for _ in range(8)]
+
+        def worker(n):
+            order = bodies[n * 5:] + bodies[: n * 5]
+            for _ in range(20):
+                for body in order:
+                    seen[n].setdefault(body, set()).add(id(cache.policy(body)))
+
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(cache) == len(bodies)
+        for body in bodies:
+            ids = set().union(*(per_thread[body] for per_thread in seen))
+            assert ids == {id(cache.policy(body))}
 
     def test_shared_cache_is_a_singleton(self):
         assert shared_policy_cache() is shared_policy_cache()

@@ -1,11 +1,16 @@
 """Tests for repro.core.matcher, including RFC 9309 examples."""
 
+import re
+from urllib.parse import quote, unquote
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.matcher import (
+    _SAFE,
     Rule,
+    compile_pattern,
     evaluate,
     first_match,
     match_priority,
@@ -28,8 +33,26 @@ class TestNormalizePath:
         assert normalize_path("/a<d.html") == normalize_path("/a%3Cd.html")
 
     def test_query_string_preserved(self):
-        assert "?" not in normalize_path("/p") or True
-        assert normalize_path("/search?q=1") .startswith("/search")
+        assert normalize_path("/search?q=1") == "/search%3Fq=1"
+
+    @given(
+        path=st.text(
+            alphabet=st.one_of(
+                st.sampled_from("%?# /*$;=~ab09AF"),
+                st.characters(min_codepoint=0x80, max_codepoint=0x2FFF),
+            ),
+            max_size=20,
+        )
+    )
+    @example("/%41%3c/ü?q#x")
+    @example("/plain/path-1_~.html")
+    def test_fast_path_agrees_with_quote_unquote(self, path):
+        reference = quote(unquote(path), safe=_SAFE) if path else "/"
+        assert normalize_path(path) == reference
+
+    def test_compiled_patterns_are_memoized(self):
+        assert compile_pattern("/memo*x$") is compile_pattern("/memo*x$")
+        assert compile_pattern.cache_info().maxsize is not None
 
 
 class TestPatternMatches:
@@ -151,6 +174,53 @@ class TestFirstMatch:
 
     def test_first_match_default_allow(self):
         assert first_match([], "/x").allowed
+
+
+# -- Independent oracle -----------------------------------------------------
+
+
+def _reference_matches(pattern, path):
+    """RFC 9309 pattern matching as a regex, independent of CompiledPattern."""
+    pattern, path = normalize_path(pattern), normalize_path(path)
+    anchored = pattern.endswith("$")
+    body = pattern[:-1] if anchored else pattern
+    regex = ".*".join(re.escape(piece) for piece in body.split("*"))
+    return re.match(regex + (r"\Z" if anchored else ""), path, re.DOTALL) is not None
+
+
+def _reference_evaluate(rules, path):
+    """Longest match, allow wins ties, first rule among equals; default allow."""
+    matching = [r for r in rules if r.path and _reference_matches(r.path, path)]
+    if not matching:
+        return True, None
+    top = max(len(normalize_path(r.path)) for r in matching)
+    best = [r for r in matching if len(normalize_path(r.path)) == top]
+    winner = next((r for r in best if r.allow), best[0])
+    return winner.allow, winner
+
+
+_oracle_text = st.text(alphabet=st.sampled_from("/ab*$%3c?"), max_size=8)
+_oracle_rules = st.lists(
+    st.tuples(st.booleans(), _oracle_text).map(lambda t: Rule(t[0], t[1])), max_size=6
+)
+
+
+class TestAgainstReference:
+    @given(rules=_oracle_rules, path=_oracle_text)
+    @example(rules=[Rule(False, "/a*a$")], path="/a")
+    @example(rules=[Rule(True, "/a$"), Rule(True, "/*a"), Rule(False, "/a*")], path="/a")
+    def test_evaluate_matches_reference(self, rules, path):
+        verdict = evaluate(rules, path)
+        assert (verdict.allowed, verdict.rule) == _reference_evaluate(rules, path)
+
+    @given(rules=_oracle_rules, path=_oracle_text)
+    def test_first_match_matches_reference(self, rules, path):
+        expected = next(
+            (r for r in rules if r.path and _reference_matches(r.path, path)), None
+        )
+        verdict = first_match(rules, path)
+        assert verdict.rule is expected
+        assert verdict.allowed == (expected is None or expected.allow)
 
 
 # -- Property-based tests ---------------------------------------------------

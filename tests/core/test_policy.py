@@ -1,6 +1,13 @@
 """Tests for repro.core.policy."""
 
-from repro.core.policy import RobotsPolicy, extract_product_token
+import re
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from repro.core.compiled import CompiledRobots
+from repro.core.parser import parse
+from repro.core.policy import AgentRules, RobotsPolicy, extract_product_token
 
 
 class TestExtractProductToken:
@@ -148,3 +155,95 @@ class TestGroupSpecificityEdgeCases:
         )
         assert not policy.is_allowed("foobot", "/a")
         assert not policy.is_allowed("foobot", "/b")
+
+
+# -- Differential test against a naive selector ------------------------------
+
+
+def _reference_rules_for(parsed, user_agent):
+    """Group selection recomputed from the raw groups on every call.
+
+    The crawler's product token (its leading ``[A-Za-z0-9_-]`` run, or the
+    whole string when that is empty) is matched case-insensitively by
+    every non-wildcard, non-empty group token that prefixes it; the whole
+    stripped string also matches a token equal to it.  The longest
+    matching token sets a group's specificity; the most specific groups
+    merge, and only when none matches do the ``*`` groups apply.
+    """
+    token = re.match(r"[A-Za-z0-9_-]*", user_agent).group() or user_agent
+    full = user_agent.strip().lower()
+
+    def specificity(group):
+        lengths = [
+            len(agent.lower())
+            for agent in group.agents
+            if agent.lower() != "*"
+            and (
+                (agent and token.lower().startswith(agent.lower()))
+                or agent.lower() == full
+            )
+        ]
+        return max(lengths, default=-1)
+
+    scores = [specificity(group) for group in parsed.groups]
+    best = max(scores, default=-1)
+    if best >= 0:
+        groups = [g for g, score in zip(parsed.groups, scores) if score == best]
+    else:
+        groups = [g for g in parsed.groups if "*" in g.agents]
+    delays = [g.crawl_delays[0] for g in groups if g.crawl_delays]
+    return AgentRules(
+        rules=tuple(rule for g in groups for rule in g.rules),
+        explicit=best >= 0,
+        crawl_delay=delays[0] if delays else None,
+    )
+
+
+_BODY_LINES = [
+    "User-agent: foo",
+    "User-agent: foobot",
+    "User-agent: FooBot",
+    "User-agent: Kangaroo Bot",
+    "User-agent: kangaroo",
+    "User-agent:",
+    "User-agent: *",
+    "User-agent: GPTBot",
+    "Disallow: /",
+    "Disallow: /a",
+    "Disallow:",
+    "Allow: /a/b",
+    "Crawl-delay: 3",
+    "# note",
+    "",
+]
+_CRAWLERS = [
+    "foo",
+    "foobot",
+    "FOOBOT/1.0",
+    "foobar",
+    "Kangaroo Bot",
+    "kangaroo bot ",
+    "Kangaroo",
+    "GPTBot",
+    "gptbot-image",
+    "Mozilla/5.0 (compatible; foobot)",
+    "",
+    "  ",
+    "*",
+    "other",
+]
+
+
+class TestGroupSelectionAgainstReference:
+    @given(body=st.lists(st.sampled_from(_BODY_LINES), max_size=14).map("\n".join))
+    @example(body="User-agent: foo\nUser-agent: foobot\nDisallow: /\nUser-agent: foobot\nAllow: /a/b")
+    @example(body="User-agent: Kangaroo Bot\nDisallow: /\nUser-agent: kangaroo\nAllow: /a/b")
+    @example(body="User-agent:\nDisallow: /a\nUser-agent: *\nDisallow: /")
+    @example(body="User-agent: *\nDisallow: /\n\nUser-agent: *\nCrawl-delay: 3\nAllow: /a/b")
+    def test_rules_for_matches_reference(self, body):
+        parsed = parse(body)
+        policy, compiled = RobotsPolicy(body), CompiledRobots(body)
+        for crawler in _CRAWLERS:
+            expected = _reference_rules_for(parsed, crawler)
+            assert policy.rules_for(crawler) == expected, crawler
+            assert compiled.rules_for(crawler) == expected, crawler

@@ -5,8 +5,14 @@ these tests pin down the *structure* of every runner's output -- ids,
 rendered text, metric keys -- quickly enough for the main suite.
 """
 
+import sys
+
 import pytest
 
+from repro.core import compiled, lexer, parser
+from repro.core.diagnostics import lint
+from repro.core.legacy import LegacyPolicy, LegacyQuirks
+from repro.measure.artists import measure_artist_sites
 from repro.report.experiments import (
     build_longitudinal_bundle,
     run_appb2_parser_comparison,
@@ -26,6 +32,7 @@ from repro.report.experiments import (
     run_table3,
     run_tables9_12_codebooks,
 )
+from repro.web.artists import build_artist_population
 from repro.web.population import PopulationConfig, build_web_population
 
 TINY = PopulationConfig(
@@ -96,6 +103,69 @@ class TestPopulationRunners:
     def test_sec81(self, population):
         result = run_sec81_mistakes(population=population)
         assert 0 <= result.metrics["pct_mistakes"] <= 100
+
+
+def _record_calls(monkeypatch, fn):
+    """Count calls of *fn* from every ``repro`` module that imported it.
+
+    Returns the list of first arguments (the robots.txt bodies), one per
+    call; modules bind the function by name, so each binding is patched.
+    """
+    seen = []
+
+    def recording(source, *args, **kwargs):
+        seen.append(source)
+        return fn(source, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "repro" or name.startswith("repro.")):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recording)
+    return seen
+
+
+class TestCompileOnce:
+    """Each distinct robots.txt body is tokenized and parsed once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # A cold shared compile cache, so the counts are not vacuous.
+        monkeypatch.setattr(compiled, "_SHARED_CACHE", compiled.CompiledPolicyCache())
+        return (
+            _record_calls(monkeypatch, parser.parse),
+            _record_calls(monkeypatch, lexer.tokenize),
+        )
+
+    def test_sec81_and_appb2_parse_each_body_once(self, population, calls):
+        bodies = {site.robots_at(24) for site in population.stable} - {None}
+        run_sec81_mistakes(population=population)
+        run_appb2_parser_comparison(population=population)
+        parses, tokenizes = calls
+        assert 0 < len(parses) <= len(bodies)
+        assert len(tokenizes) <= len(bodies)
+
+    def test_table2_parses_each_body_once(self, calls):
+        measure_artist_sites(build_artist_population(n_artists=300))
+        parses, tokenizes = calls
+        assert 0 < len(parses) <= len(set(parses))
+        assert len(tokenizes) <= len(set(parses))
+
+    def test_cached_parse_gives_identical_legacy_verdicts_and_lint(self, population):
+        probes = ["/", "/page", "/images/a.png"]
+        agents = ["GPTBot", "CCBot", "anthropic-ai", "Claudebot", "randombot"]
+        bodies = sorted({site.robots_at(24) for site in population.stable} - {None})
+        for body in bodies:
+            parsed = compiled.shared_policy_cache().policy(body).parsed
+            assert lint(parsed) == lint(body)
+            for quirks in (LegacyQuirks(), LegacyQuirks.none()):
+                from_text = LegacyPolicy(body, quirks)
+                from_parse = LegacyPolicy(parsed, quirks)
+                for agent in agents:
+                    for path in probes:
+                        assert from_parse.verdict(agent, path) == from_text.verdict(
+                            agent, path
+                        )
 
 
 class TestStandaloneRunners:

@@ -1,5 +1,11 @@
 """Tests for survey cross-tabulations and chi-square analysis."""
 
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.survey.crosstabs import (
@@ -80,6 +86,55 @@ class TestChiSquare:
         )
         result = chi_square(table)
         assert result.dof == 1  # empty row dropped
+
+
+class TestChiSquareOracle:
+    """``chi_square`` against scipy, which stays a test-only dependency."""
+
+    # (rows, cols) shapes covering dof 1 through 6.
+    SHAPES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 6), (3, 4), (4, 3), (2, 7)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_scipy_on_random_tables(self, shape):
+        stats = pytest.importorskip("scipy.stats")
+        n_rows, n_cols = shape
+        rng = random.Random(n_rows * 10 + n_cols)
+        for _ in range(200):
+            scale = rng.choice([3, 10, 60, 300])
+            counts = [
+                [rng.randint(0, scale) for _ in range(n_cols)] for _ in range(n_rows)
+            ]
+            # A zero cell here and there, but no zero margins: scipy
+            # rejects those, and chi_square drops them (tested above).
+            if any(sum(row) == 0 for row in counts) or any(
+                sum(column) == 0 for column in zip(*counts)
+            ):
+                continue
+            table = ContingencyTable(
+                [f"r{i}" for i in range(n_rows)], [f"c{j}" for j in range(n_cols)], counts
+            )
+            ours = chi_square(table)
+            statistic, p_value, dof, _ = stats.chi2_contingency(counts)
+            assert ours.dof == dof == (n_rows - 1) * (n_cols - 1)
+            assert ours.statistic == pytest.approx(statistic, rel=1e-12, abs=0)
+            assert ours.p_value == pytest.approx(p_value, rel=1e-12, abs=0)
+
+    def test_crosstabs_experiment_does_not_import_scipy(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        code = (
+            "import sys\n"
+            "from repro.report.experiments import run_survey_crosstabs\n"
+            "assert 'p=' in run_survey_crosstabs().text\n"
+            "print('scipy' in sys.modules)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestCannedAnalyses:
