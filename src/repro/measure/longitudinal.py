@@ -1,8 +1,9 @@
 """Section 3: longitudinal robots.txt analysis over snapshots.
 
 Pipeline: take a web population, run the Common-Crawl-style snapshotter
-over the 15 snapshot specs (optionally in parallel -- each spec builds
-an independent network, so snapshots are embarrassingly parallel),
+over the 15 snapshot specs shard by shard (optionally on a fork pool --
+every record is a pure function of ``(site, month)``, so shards are
+embarrassingly parallel),
 filter to the Stable-with-robots set (the paper's "Stable Top 100K":
 ranked every month *and* a robots.txt in every snapshot), then compute
 the statistics behind Figures 2-4 and Tables 3-4:
@@ -25,8 +26,6 @@ outputs are bit-identical to the per-domain re-parsing formulation.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -41,23 +40,17 @@ from ..crawlers.commoncrawl import (
     SnapshotSpec,
     carry_forward_snapshot,
 )
+from ..fanout import fan_out, resolve_mode
 from ..net import chaos
-from ..net.accesslog import active_log_sink
 from ..net.logstore import log_stream
 from ..net.transport import Network
 from ..obs import live as _live
-from ..obs.metrics import metrics_enabled, shared_registry, snapshot_delta
+from ..obs.metrics import metrics_enabled
 from ..obs.series import shared_series
-from ..obs.series import snapshot_delta as series_delta
-from ..obs.trace import adopt_current_span, current_span, span
+from ..obs.trace import span
 from ..web.archive import ShardWriter, merge_error_budgets
 from ..web.population import WebPopulation
-from ..web.sharding import (
-    partition_domains,
-    record_shard_balance,
-    resolve_shard_mode,
-    shard_count_for,
-)
+from ..web.sharding import partition_domains, record_shard_balance, shard_count_for
 from .cache import PolicyCache
 
 __all__ = [
@@ -219,13 +212,15 @@ def collect_snapshots(
 
     Each snapshot materializes the population at the snapshot's month
     and crawls every stable site's robots.txt with the CCBot client.
+    Sites are partitioned by :func:`repro.web.sharding.shard_of` and
+    each shard crawls *every* spec; every record is a pure function of
+    ``(site, month)``, so any shards x workers x mode combination
+    assembles a byte-identical series, laid down in canonical stable
+    order.
 
     Args:
-        workers: Number of snapshots to crawl concurrently.  Each spec
-            builds its own independent :class:`Network`, so snapshots
-            parallelize without shared mutable state; results are
-            assembled in spec order, making the output bit-identical
-            for any worker count (``None``/``1`` = sequential).
+        workers: Shards crawled at once, on a fork pool when *mode*
+            allows (``None``/``1`` = sequential).
         delta: Diff-aware collection: refetch only sites whose robots
             state changed since the previous spec and carry every other
             record forward (bit-identical output, O(changed) work).
@@ -234,308 +229,23 @@ def collect_snapshots(
             :class:`~repro.net.chaos.FaultPlan` forces a full crawl even
             when ``delta=True``, because injected faults break the
             purity argument that makes carry-forward safe.
-        shards: Switch to shard-partitioned collection: sites are
-            partitioned by :func:`repro.web.sharding.shard_of` and each
-            worker crawls *every* spec for one shard (``0`` sizes the
-            shard count automatically, ``None`` keeps the classic
-            spec-parallel path).  Every record is a pure function of
-            ``(site, month)``, so any shards x workers x mode
-            combination assembles a byte-identical series.
-        mode: Sharded execution mode (``"auto"``/``"serial"``/
-            ``"thread"``/``"process"``); ignored on the classic path.
+        shards: Shard count (``None``/``0`` = sized from the site
+            count, never from *workers*).
+        mode: ``"auto"``, ``"serial"`` or ``"process"`` (see
+            :func:`repro.fanout.resolve_mode`).
     """
     specs = list(specs)
-    if shards is not None:
-        return _collect_sharded(
-            population, specs, workers=workers, delta=delta,
-            shards=shards, mode=mode,
-        )
     domains = [site.domain for site in population.stable]
-    use_delta = _use_delta(specs, delta)
-    plan = (
-        delta_fetch_plan(population, specs)
-        if use_delta
-        else [list(population.stable) for _ in specs]
+    shard_snapshots = _run_shard_collection(
+        population, specs, shards=shards or 0, workers=workers, mode=mode,
+        delta=delta,
     )
-
-    def collect_one(task: Tuple[SnapshotSpec, List["SimSite"]]) -> Snapshot:
-        spec, fetch_sites = task
-        # The span carries both clocks: wall time plus the simulated
-        # month the snapshot pertains to (the logical clock).  The named
-        # wide-event stream makes the crawl's log records land in the
-        # same archive position for any worker count.
-        with log_stream(f"collect:{spec.snapshot_id}"), span(
-            "collect_snapshot",
-            logical=spec.month_index,
-            snapshot=spec.snapshot_id,
-            n_domains=len(fetch_sites),
-        ):
-            network = Network()
-            population.materialize(network, month=spec.month_index, sites=fetch_sites)
-            crawler = SnapshotCrawler(network)
-            snapshot = crawler.snapshot(spec, [site.domain for site in fetch_sites])
-            network.publish_request_histogram()
-        if metrics_enabled():
-            # In a full crawl every site counts as refetched, so the
-            # series doubles as a live view of how much work delta
-            # collection avoids month over month.
-            shared_series().add(
-                "delta.sites_refetched", spec.month_index, len(fetch_sites)
-            )
-        # The batch pipeline's simulated-month clock drives the live
-        # telemetry plane: one scrape as each month's snapshot lands.
-        # Costs a single None check when no pipeline is installed.
+    # The batch pipeline's simulated-month clock drives the live
+    # telemetry plane: one scrape per month, in spec order, once the
+    # crawl has landed.  Costs a single None check when no pipeline is
+    # installed.
+    for spec in specs:
         _live.month_tick(spec.month_index)
-        return snapshot
-
-    tasks = list(zip(specs, plan))
-    with span(
-        "collect_snapshots",
-        n_specs=len(specs),
-        workers=workers or 1,
-        delta=use_delta,
-    ):
-        if workers is None or workers <= 1 or len(specs) <= 1:
-            snapshots = [collect_one(task) for task in tasks]
-        else:
-            with ThreadPoolExecutor(
-                max_workers=min(workers, len(specs)),
-                # Worker threads start with an empty span context;
-                # adopt the collection span so per-snapshot spans stay
-                # its children rather than becoming roots.
-                initializer=adopt_current_span,
-                initargs=(current_span(),),
-            ) as pool:
-                # executor.map preserves spec order regardless of
-                # completion order, so parallelism cannot reorder the
-                # series.
-                snapshots = list(pool.map(collect_one, tasks))
-
-    if use_delta:
-        # Assemble full snapshots in spec order: each month's records
-        # dict lays down every stable domain in canonical order, taking
-        # the freshly fetched record when the site was in the plan and
-        # the previous assembled month's record otherwise.  Insertion
-        # order therefore matches a full crawl exactly.
-        assembled: List[Snapshot] = [snapshots[0]]
-        for fetched in snapshots[1:]:
-            assembled.append(
-                carry_forward_snapshot(fetched, assembled[-1], domains)
-            )
-        snapshots = assembled
-
-    # Intern robots bodies across the whole series: fifteen snapshots of
-    # a mostly-unchanged population collapse to one string per distinct
-    # body, and downstream grouping hashes each body once.
-    body_pool: Dict[str, str] = {}
-    for snapshot in snapshots:
-        snapshot.intern_bodies(body_pool)
-
-    analysis = stable_with_robots(snapshots, domains)
-    return SnapshotSeries(
-        snapshots=snapshots, stable_domains=domains, analysis_domains=analysis
-    )
-
-
-#: Ambient state for sharded collection workers: ``(population, specs,
-#: parts, use_delta, ship_telemetry, keep_records, archive)`` where
-#: *archive* is ``None`` or ``(root, n_shards, config_digest)``.  Set by
-#: :func:`_run_shard_collection` before a fork pool spawns so children
-#: inherit the population instead of re-pickling it per shard.
-_COLLECT_CONTEXT: Optional[tuple] = None
-
-
-def _crawl_shard(
-    population: WebPopulation,
-    specs: Sequence[SnapshotSpec],
-    sites: List["SimSite"],
-    use_delta: bool,
-) -> List[Snapshot]:
-    """Crawl every spec for one shard's sites (full per-shard snapshots).
-
-    The engine is the classic collection loop restricted to a site
-    subset: per-spec fetch plan, a fresh :class:`Network` per spec,
-    shard-local carry-forward.  Because every record is a pure function
-    of ``(site, month)`` -- chaos faults included, they key on
-    ``(rule, host)`` counters -- the union of shard crawls equals an
-    unsharded crawl record for record.
-    """
-    domains = [site.domain for site in sites]
-    plan = _site_fetch_plan(sites, specs, use_delta)
-    snapshots: List[Snapshot] = []
-    for spec, fetch_sites in zip(specs, plan):
-        with span(
-            "collect_snapshot",
-            logical=spec.month_index,
-            snapshot=spec.snapshot_id,
-            n_domains=len(fetch_sites),
-        ):
-            network = Network()
-            population.materialize(
-                network, month=spec.month_index, sites=fetch_sites
-            )
-            crawler = SnapshotCrawler(network)
-            snapshot = crawler.snapshot(
-                spec, [site.domain for site in fetch_sites]
-            )
-            network.publish_request_histogram()
-        if metrics_enabled():
-            # Per-shard refetch counts sum into the same per-month
-            # series points, so sharded totals match unsharded ones.
-            shared_series().add(
-                "delta.sites_refetched", spec.month_index, len(fetch_sites)
-            )
-        snapshots.append(snapshot)
-    if use_delta:
-        assembled = [snapshots[0]]
-        for fetched in snapshots[1:]:
-            assembled.append(
-                carry_forward_snapshot(fetched, assembled[-1], domains)
-            )
-        snapshots = assembled
-    return snapshots
-
-
-def _collect_shard(index: int):
-    """Worker entry: crawl shard *index* against the ambient context.
-
-    Returns ``(snapshots_or_budgets, metrics_delta, series_delta,
-    log_delta)``.  In process mode the worker ships its telemetry and
-    wide-event deltas (the fork child's registry and log sink are
-    copies); with ``keep_records=False`` (archive mode) only the
-    per-spec error budgets travel back, not the records.
-    """
-    context = _COLLECT_CONTEXT
-    assert context is not None, "sharded collection must set the context"
-    population, specs, parts, use_delta, ship, keep_records, archive = context
-    registry = shared_registry()
-    series = shared_series()
-    sink = active_log_sink()
-    if ship:
-        before = registry.snapshot()
-        series_before = series.snapshot()
-        sink_marks = sink.marks() if sink is not None else None
-    # One wide-event stream per shard: the shard crawls all specs
-    # sequentially in one worker, so the stream is single-writer.
-    with log_stream(f"collect-shard:{index:04d}"):
-        snapshots = _crawl_shard(population, specs, parts[index], use_delta)
-    if archive is not None:
-        root, n_shards, config_digest = archive
-        sites = parts[index]
-        writer = ShardWriter(root, index, n_shards, config_digest)
-        writer.set_sites(
-            [site.domain for site in sites],
-            [site.rank for site in sites],
-            [site.tier for site in sites],
-        )
-        for snapshot in snapshots:
-            writer.add_snapshot(
-                snapshot.spec, snapshot.records, snapshot.error_budget
-            )
-        writer.commit()
-    payload = (
-        snapshots
-        if keep_records
-        else [snapshot.error_budget for snapshot in snapshots]
-    )
-    if not ship:
-        return payload, None, None, None
-    return (
-        payload,
-        snapshot_delta(registry.snapshot(), before),
-        series_delta(series.snapshot(), series_before),
-        sink.delta(sink_marks) if sink_marks is not None else None,
-    )
-
-
-def _run_shard_collection(
-    population: WebPopulation,
-    specs: List[SnapshotSpec],
-    shards: int,
-    workers: Optional[int],
-    mode: str,
-    delta: Optional[bool],
-    keep_records: bool,
-    archive: Optional[Tuple[str, int, str]] = None,
-) -> Tuple[List[object], List[List["SimSite"]]]:
-    """Fan the shard crawl out and fold telemetry back in.
-
-    Returns each shard's payload (snapshots or budgets, shard order)
-    plus the partition itself, which the caller needs to map domains
-    back to shards.
-    """
-    global _COLLECT_CONTEXT
-    sites = list(population.stable)
-    n_workers = max(1, workers or 1)
-    n_shards = shard_count_for(len(sites), shards if shards > 0 else None)
-    parts = partition_domains(
-        sites, n_shards, key=(site.domain for site in sites)
-    )
-    record_shard_balance(parts, stage="collect")
-    resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
-    use_delta = _use_delta(specs, delta)
-    if archive is not None:
-        archive = (archive[0], n_shards, archive[2])
-    _COLLECT_CONTEXT = (
-        population, specs, parts, use_delta,
-        resolved == "process", keep_records, archive,
-    )
-    try:
-        indices = range(n_shards)
-        with span(
-            "collect_snapshots",
-            n_specs=len(specs),
-            workers=n_workers,
-            delta=use_delta,
-            shards=n_shards,
-            mode=resolved,
-        ):
-            if resolved == "serial":
-                outputs = [_collect_shard(i) for i in indices]
-            elif resolved == "process":
-                context = multiprocessing.get_context("fork")
-                with ProcessPoolExecutor(
-                    max_workers=n_workers, mp_context=context
-                ) as pool:
-                    outputs = list(pool.map(_collect_shard, indices))
-            else:
-                with ThreadPoolExecutor(
-                    max_workers=n_workers,
-                    initializer=adopt_current_span,
-                    initargs=(current_span(),),
-                ) as pool:
-                    outputs = list(pool.map(_collect_shard, indices))
-    finally:
-        _COLLECT_CONTEXT = None
-    registry = shared_registry()
-    series = shared_series()
-    sink = active_log_sink()
-    payloads: List[object] = []
-    for payload, delta_snapshot, sdelta, log_delta in outputs:
-        if delta_snapshot is not None:
-            registry.merge(delta_snapshot)
-        if sdelta is not None:
-            series.merge(sdelta)
-        if log_delta is not None and sink is not None:
-            sink.merge(log_delta)
-        payloads.append(payload)
-    return payloads, parts
-
-
-def _collect_sharded(
-    population: WebPopulation,
-    specs: List[SnapshotSpec],
-    workers: Optional[int],
-    delta: Optional[bool],
-    shards: int,
-    mode: str,
-) -> SnapshotSeries:
-    """Shard-partitioned in-memory collection (bit-identical assembly)."""
-    domains = [site.domain for site in population.stable]
-    shard_snapshots, _ = _run_shard_collection(
-        population, specs, shards=shards, workers=workers, mode=mode,
-        delta=delta, keep_records=True,
-    )
     snapshots: List[Snapshot] = []
     for spec_index, spec in enumerate(specs):
         combined: Dict[str, SiteRecord] = {}
@@ -553,6 +263,9 @@ def _collect_sharded(
                 error_budget=merge_error_budgets(budgets),
             )
         )
+    # Intern robots bodies across the whole series: fifteen snapshots of
+    # a mostly-unchanged population collapse to one string per distinct
+    # body, and downstream grouping hashes each body once.
     body_pool: Dict[str, str] = {}
     for snapshot in snapshots:
         snapshot.intern_bodies(body_pool)
@@ -560,6 +273,123 @@ def _collect_sharded(
     return SnapshotSeries(
         snapshots=snapshots, stable_domains=domains, analysis_domains=analysis
     )
+
+
+def _crawl_shard(
+    population: WebPopulation,
+    specs: Sequence[SnapshotSpec],
+    sites: List["SimSite"],
+    use_delta: bool,
+) -> List[Snapshot]:
+    """Crawl every spec for one shard's sites (full per-shard snapshots).
+
+    Per-spec fetch plan, a fresh :class:`Network` per spec, shard-local
+    carry-forward.  Because every record is a pure function of ``(site,
+    month)`` -- chaos faults included, they key on ``(rule, host)``
+    counters -- the union of shard crawls equals an unsharded crawl
+    record for record.
+    """
+    domains = [site.domain for site in sites]
+    plan = _site_fetch_plan(sites, specs, use_delta)
+    snapshots: List[Snapshot] = []
+    for spec, fetch_sites in zip(specs, plan):
+        # The span carries both clocks: wall time plus the simulated
+        # month the snapshot pertains to (the logical clock).
+        with span(
+            "collect_snapshot",
+            logical=spec.month_index,
+            snapshot=spec.snapshot_id,
+            n_domains=len(fetch_sites),
+        ):
+            network = Network()
+            population.materialize(
+                network, month=spec.month_index, sites=fetch_sites
+            )
+            crawler = SnapshotCrawler(network)
+            snapshot = crawler.snapshot(
+                spec, [site.domain for site in fetch_sites]
+            )
+            network.publish_request_histogram()
+        if metrics_enabled():
+            # Per-shard refetch counts sum into the same per-month
+            # series points, so totals do not depend on the shard
+            # count.  In a full crawl every site counts as refetched,
+            # so the series shows how much work delta collection avoids.
+            shared_series().add(
+                "delta.sites_refetched", spec.month_index, len(fetch_sites)
+            )
+        snapshots.append(snapshot)
+    if use_delta:
+        # Each month's records dict lays down the shard's domains in
+        # canonical order, taking the freshly fetched record when the
+        # site was in the plan and the previous month's otherwise.
+        assembled = [snapshots[0]]
+        for fetched in snapshots[1:]:
+            assembled.append(
+                carry_forward_snapshot(fetched, assembled[-1], domains)
+            )
+        snapshots = assembled
+    return snapshots
+
+
+def _run_shard_collection(
+    population: WebPopulation,
+    specs: List[SnapshotSpec],
+    shards: int,
+    workers: Optional[int],
+    mode: str,
+    delta: Optional[bool],
+    archive: Optional[Tuple[str, str]] = None,
+) -> List[list]:
+    """Fan the shard crawl out; each shard's payload, in shard order.
+
+    Without *archive* a shard's payload is its per-spec snapshots.  With
+    ``archive=(root, config_digest)`` each shard commits a
+    :class:`~repro.web.archive.ShardWriter` directory instead and only
+    its per-spec error budgets travel back, not the records.
+    """
+    sites = list(population.stable)
+    n_shards = shard_count_for(len(sites), shards if shards > 0 else None)
+    parts = partition_domains(
+        sites, n_shards, key=(site.domain for site in sites)
+    )
+    record_shard_balance(parts, stage="collect")
+    use_delta = _use_delta(specs, delta)
+
+    def crawl(index: int) -> list:
+        # One wide-event stream per shard: the shard crawls all specs
+        # sequentially in one worker, so the stream is single-writer.
+        with log_stream(f"collect-shard:{index:04d}"):
+            snapshots = _crawl_shard(population, specs, parts[index], use_delta)
+        if archive is None:
+            return snapshots
+        writer = ShardWriter(archive[0], index, n_shards, archive[1])
+        writer.set_sites(
+            [site.domain for site in parts[index]],
+            [site.rank for site in parts[index]],
+            [site.tier for site in parts[index]],
+        )
+        for snapshot in snapshots:
+            writer.add_snapshot(
+                snapshot.spec, snapshot.records, snapshot.error_budget
+            )
+        writer.commit()
+        return [snapshot.error_budget for snapshot in snapshots]
+
+    n_workers = max(1, workers or 1)
+    with span(
+        "collect_snapshots",
+        n_specs=len(specs),
+        workers=n_workers,
+        delta=use_delta,
+        shards=n_shards,
+        mode=resolve_mode(mode, min(n_workers, n_shards)),
+    ):
+        outputs = fan_out(
+            crawl, range(n_shards), n_workers, mode,
+            lambda index: span(f"collect_shard:{index:04d}"),
+        )
+    return [payload for payload, _ in outputs]
 
 
 def collect_shard_archives(
@@ -574,13 +404,12 @@ def collect_shard_archives(
 ) -> Path:
     """Crawl the population straight into a columnar shard archive.
 
-    The write-only twin of sharded :func:`collect_snapshots`: each
-    worker crawls its shard and commits a
-    :class:`~repro.web.archive.ShardWriter` directory under *root*;
-    records never accumulate in the parent, so peak memory is
-    O(largest shard) regardless of population size.  Streaming
-    aggregations (:mod:`repro.measure.streaming`) then consume the
-    archive shard by shard.
+    The write-only twin of :func:`collect_snapshots`: each shard's
+    crawl commits a :class:`~repro.web.archive.ShardWriter` directory
+    under *root*; records never accumulate in the parent, so peak
+    memory is O(largest shard) regardless of population size.
+    Streaming aggregations (:mod:`repro.measure.streaming`) then
+    consume the archive shard by shard.
 
     Returns *root*; open the result with
     :class:`repro.web.archive.ArchiveSet`.
@@ -588,8 +417,7 @@ def collect_shard_archives(
     root = Path(root)
     _run_shard_collection(
         population, list(specs), shards=shards, workers=workers, mode=mode,
-        delta=delta, keep_records=False,
-        archive=(str(root), 0, config_digest),
+        delta=delta, archive=(str(root), config_digest),
     )
     return root
 

@@ -12,11 +12,11 @@ the population config digest, mmap readers, and one-line
 :class:`LogStoreError` failures.
 
 Determinism contract (the same one METRICS.json/SERIES.json honor):
-the committed archive is **byte-identical across serial/thread/fork
+the committed archive is **byte-identical across serial/fork
 scheduling at any worker count**.  Two mechanisms deliver it:
 
 * **Named streams.**  Every sequential unit of work (one experiment
-  runner, one snapshot-collection task) emits under a thread-local
+  runner, one shard crawl) emits under a thread-local
   stream label (:func:`log_stream`).  Each stream is written by exactly
   one thread, so its internal order is the unit's own deterministic
   request order.  At commit time streams are concatenated in sorted
@@ -176,7 +176,7 @@ def log_stream(label: str):
 
     One stream per sequential unit of work is the determinism unit:
     labels must be unique per unit and identical across scheduling
-    modes (e.g. ``experiment:figure2``, ``collect:2024-01``).
+    modes (e.g. ``experiment:figure2``, ``collect-shard:0003``).
     """
     previous = current_log_stream()
     _STREAM_LOCAL.label = label

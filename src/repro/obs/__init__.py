@@ -4,8 +4,8 @@ Three primitives, one process-wide instance of each:
 
 * :mod:`repro.obs.metrics` -- a :class:`~repro.obs.metrics.MetricsRegistry`
   of counters, gauges, and fixed-bucket histograms, with a
-  snapshot/delta/merge protocol so orchestrator workers (threads *or*
-  forked processes) ship their activity back to the parent.
+  snapshot/delta/merge protocol so forked workers (see
+  :mod:`repro.fanout`) ship their activity back to the parent.
 * :mod:`repro.obs.series` -- labeled time series on the simulated-month
   logical clock (the per-agent monthly traffic/block matrix a site
   operator would see), sharing the metrics enable flag and the same

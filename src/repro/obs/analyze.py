@@ -228,8 +228,8 @@ def self_time_tree(
     """Nested ``{name, duration, self, children}`` trees, one per root.
 
     ``self`` is the span's duration minus its direct children's
-    durations (clamped at zero -- overlapping thread-pool children can
-    exceed their parent's wall clock).
+    durations (clamped at zero -- children that ran in parallel worker
+    processes can exceed their parent's wall clock).
     """
     roots, children = _children_index(records)
 

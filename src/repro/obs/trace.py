@@ -25,9 +25,9 @@ Design constraints:
   :func:`span` call returns a shared no-op context manager without
   touching the tracer, so instrumented hot paths cost one global bool
   check (benchmarked <1% in ``benchmarks/bench_obs_overhead.py``).
-* **Worker shipping.**  Fork-pool workers mark the buffer position on
-  entry (:meth:`Tracer.record_count`), run, and ship
-  :meth:`Tracer.records_since` back to the parent, which
+* **Worker shipping.**  Fork-pool workers (:mod:`repro.fanout`) mark
+  the buffer position on entry (:meth:`Tracer.record_count`), run, and
+  ship :meth:`Tracer.records_since` back to the parent, which
   :meth:`Tracer.absorb`\\ s them -- mirroring the metrics-snapshot
   delta protocol in :mod:`repro.obs.metrics`.
 """
@@ -50,7 +50,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "span",
     "current_span",
-    "adopt_current_span",
     "tracing_enabled",
     "set_tracing_enabled",
     "shared_tracer",
@@ -333,17 +332,6 @@ def span(
 def current_span() -> Optional[Span]:
     """The context's innermost live span, or None."""
     return _CURRENT.get()
-
-
-def adopt_current_span(parent: Optional[Span]) -> None:
-    """Make *parent* the current span for this thread's context.
-
-    Worker threads start with a fresh context, so spans they open
-    would become roots; a pool initializer calls this with the
-    orchestrator's live root span to keep the tree topology identical
-    across serial, thread, and fork execution.
-    """
-    _CURRENT.set(parent)
 
 
 def write_trace(path, records: List[Dict[str, object]]) -> None:

@@ -350,7 +350,7 @@ class BehavioralPolicy:
 
     Policies are plain per-proxy objects, never shared through cached
     world handlers: each experiment builds its own, which is what keeps
-    verdicts identical across serial/thread/fork scheduling.
+    verdicts identical across serial/fork scheduling.
     """
 
     def __init__(self, config: Optional[BehavioralConfig] = None):

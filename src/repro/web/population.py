@@ -17,27 +17,19 @@ the same config always yields the same web.
 
 from __future__ import annotations
 
-import multiprocessing
 import random
 
 from ..util import seeded_rng
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from ..fanout import fan_out
 from ..net.transport import Network
-from ..obs.metrics import shared_registry, snapshot_delta
-from ..obs.series import shared_series
-from ..obs.series import snapshot_delta as series_delta
+from ..obs.trace import span
 from ..proxy.cloudflare import CloudflareSettings
 from .events import DATA_DEALS, GPTBOT_ANNOUNCEMENT, MONTHS
 from .evolution import EvolutionParams, OperatorModel
-from .sharding import (
-    partition_domains,
-    record_shard_balance,
-    resolve_shard_mode,
-    shard_count_for,
-)
+from .sharding import partition_domains, record_shard_balance, shard_count_for
 from .site import BlockingConfig, SimSite
 from .tranco import RankingModel, stable_sites, stratum_cutoff
 
@@ -173,12 +165,6 @@ def stratum_config(
 #: One unit of shardable site construction: ``(domain, rank, tier)``.
 _SiteTask = Tuple[str, int, str]
 
-#: Established by :func:`build_web_population` before a process pool
-#: spawns, so fork workers inherit the config and shard partition
-#: instead of re-pickling them per call.
-_BUILD_CONTEXT: Optional[Tuple[PopulationConfig, List[List[_SiteTask]], bool]] = None
-
-
 def _build_site(config: PopulationConfig, operator: OperatorModel,
                 task: _SiteTask) -> SimSite:
     """Construct and populate one site (pure in ``(seed, domain)``)."""
@@ -189,30 +175,6 @@ def _build_site(config: PopulationConfig, operator: OperatorModel,
     )
     operator.populate(site)
     return site
-
-
-def _build_shard(index: int):
-    """Build one shard's sites against the ambient context (worker entry).
-
-    In process mode the worker additionally ships its telemetry
-    (metrics and series snapshot deltas) back to the parent: the
-    operator model's ``web.robots_changes`` series land in the forked
-    child's registry copy, and totals must match serial execution.
-    """
-    context = _BUILD_CONTEXT
-    assert context is not None, "build_web_population must set the context"
-    config, parts, ship = context
-    registry = shared_registry()
-    series = shared_series()
-    before = registry.snapshot() if ship else None
-    series_before = series.snapshot() if ship else None
-    operator = OperatorModel(params=config.evolution, seed=config.seed)
-    sites = [_build_site(config, operator, task) for task in parts[index]]
-    if not ship:
-        return sites, None, None
-    delta = snapshot_delta(registry.snapshot(), before)
-    sdelta = series_delta(series.snapshot(), series_before)
-    return sites, delta, sdelta
 
 
 def _build_sites(
@@ -227,42 +189,26 @@ def _build_sites(
     Every sampler involved is keyed ``(seed, domain)``, so the shard
     map and the execution mode only decide *where* each site is built:
     the returned sites are byte-identical for any shard count x worker
-    count x serial/thread/process combination.
+    count x serial/process combination.
     """
-    global _BUILD_CONTEXT
     n_workers = max(1, workers or 1)
     explicit = shards is not None and shards > 0
     n_shards = shard_count_for(len(tasks), shards) if (explicit or n_workers > 1) else 1
     parts = partition_domains(tasks, n_shards, key=(t[0] for t in tasks))
     if n_shards > 1:
         record_shard_balance(parts, stage="build")
-    resolved = resolve_shard_mode(mode, min(n_workers, n_shards))
-    _BUILD_CONTEXT = (config, parts, resolved == "process")
-    try:
-        indices = range(n_shards)
-        if resolved == "serial":
-            outputs = [_build_shard(i) for i in indices]
-        elif resolved == "process":
-            context = multiprocessing.get_context("fork")
-            with ProcessPoolExecutor(
-                max_workers=n_workers, mp_context=context
-            ) as pool:
-                outputs = list(pool.map(_build_shard, indices))
-        else:
-            with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                outputs = list(pool.map(_build_shard, indices))
-    finally:
-        _BUILD_CONTEXT = None
-    registry = shared_registry()
-    built: Dict[str, SimSite] = {}
-    for sites, delta, sdelta in outputs:
-        if delta is not None:
-            registry.merge(delta)
-        if sdelta is not None:
-            shared_series().merge(sdelta)
-        for site in sites:
-            built[site.domain] = site
-    return built
+
+    def build_shard(index: int) -> List[SimSite]:
+        # The operator model's ``web.robots_changes`` series land in a
+        # forked child's registry copy; the fan-out ships them back.
+        operator = OperatorModel(params=config.evolution, seed=config.seed)
+        return [_build_site(config, operator, task) for task in parts[index]]
+
+    outputs = fan_out(
+        build_shard, range(n_shards), n_workers, mode,
+        lambda index: span(f"build_shard:{index:04d}"),
+    )
+    return {site.domain: site for sites, _ in outputs for site in sites}
 
 
 def build_web_population(
@@ -284,7 +230,8 @@ def build_web_population(
             (data deals, explicit allows, audit quotas) always run in
             the parent, in canonical rank order.
         mode: "auto" (processes when forking onto multiple cores is
-            possible, else threads), "thread", or "process".
+            possible, else serial), "serial", or "process".  Any other
+            name raises ValueError.
     """
     config = config or PopulationConfig()
     model = RankingModel(

@@ -21,15 +21,12 @@ The assignment is a pure function of the domain: ``sha256`` of the
 from __future__ import annotations
 
 import hashlib
-import multiprocessing
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
 
 __all__ = [
     "shard_of",
     "shard_count_for",
     "partition_domains",
-    "resolve_shard_mode",
     "record_shard_balance",
 ]
 
@@ -97,23 +94,6 @@ def partition_domains(
         host = keys[index] if keys is not None else item  # type: ignore[assignment]
         parts[shard_of(host, n_shards)].append(item)
     return parts
-
-
-def resolve_shard_mode(mode: str, workers: int) -> str:
-    """Execution mode for a sharded fan-out ("serial"/"thread"/"process").
-
-    Mirrors the orchestrator's policy: processes only when multiple
-    cores and a fork start method are available (children must inherit
-    the population, not re-pickle it), threads otherwise, serial for
-    one worker.
-    """
-    if workers <= 1:
-        return "serial"
-    if mode != "auto":
-        return mode
-    if (os.cpu_count() or 1) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        return "process"
-    return "thread"
 
 
 def record_shard_balance(

@@ -2,7 +2,7 @@
 
 The contract extends the log-plane one: with the behavioral layer
 armed, experiment texts, metrics, and the exported ``BEHAVIORAL.json``
-verdicts are byte-identical across serial/thread/fork scheduling at
+verdicts are byte-identical across serial/fork scheduling at
 any worker count -- and the adversarial stealth profiles measurably
 evade detection where naive crawling is gated.
 """
@@ -54,7 +54,6 @@ class TestCrossModeIdentity:
         verdicts = {}
         for label, mode, workers in [
             ("serial", "auto", 1),
-            ("thread2", "thread", 2),
             ("process3", "process", 3),
         ]:
             _reset()
@@ -66,9 +65,7 @@ class TestCrossModeIdentity:
             verdicts[label] = (log_dir / "BEHAVIORAL.json").read_bytes()
             with LogStore.open(log_dir) as committed:
                 assert committed.n_records > 0
-        assert texts["thread2"] == texts["serial"]
         assert texts["process3"] == texts["serial"]
-        assert verdicts["thread2"] == verdicts["serial"]
         assert verdicts["process3"] == verdicts["serial"]
 
     def test_verdicts_export_next_to_features(self, store, tmp_path):

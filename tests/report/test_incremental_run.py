@@ -58,8 +58,7 @@ class TestWarmEquivalence:
 
     @pytest.mark.parametrize(
         "mode,workers",
-        [("thread", 2), ("thread", 5)]
-        + ([("process", 3)] if HAS_FORK else []),
+        [("auto", 5)] + ([("process", 3)] if HAS_FORK else []),
     )
     def test_warm_runs_match_across_modes_and_workers(
         self, warm_store, mode, workers

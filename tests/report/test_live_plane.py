@@ -11,6 +11,7 @@ import multiprocessing
 
 import pytest
 
+from repro.crawlers.commoncrawl import SNAPSHOT_SPECS
 from repro.obs.live import JsonlSink, LiveTelemetry, active
 from repro.obs.metrics import shared_registry
 from repro.obs.series import shared_series
@@ -59,7 +60,6 @@ class TestScrapeExportIdentity:
         series_by_mode = {}
         for label, mode, workers in [
             ("serial", "auto", 1),
-            ("thread2", "thread", 2),
             ("process3", "process", 3),
         ]:
             directory = tmp_path / label
@@ -87,9 +87,7 @@ class TestScrapeExportIdentity:
         # scheduling-invariant (gauges are process-local observations
         # and carry no such guarantee).
         assert counters_by_mode["serial"]
-        assert counters_by_mode["thread2"] == counters_by_mode["serial"]
         assert counters_by_mode["process3"] == counters_by_mode["serial"]
-        assert series_by_mode["thread2"] == series_by_mode["serial"]
         assert series_by_mode["process3"] == series_by_mode["serial"]
 
     def test_pipeline_detached_after_run(self, store, tmp_path):
@@ -97,22 +95,38 @@ class TestScrapeExportIdentity:
         assert active() is None  # run_all restores the previous pipeline
 
 
+#: Two automatic shards (625 stable sites), so ``collect_workers=2``
+#: forks the snapshot crawl where fork is available.
+TWO_SHARDS = PopulationConfig(universe_size=1200, list_size=800, top5k_cut=40,
+                              audit_size=90, seed=7)
+
+
 class TestMonthTicks:
     def test_collection_streams_month_stamped_scrapes(self, tmp_path):
+        self._check_month_ticks(tmp_path, collect_workers=1)
+
+    def test_forked_collection_ticks_in_spec_order(self, tmp_path):
+        self._check_month_ticks(tmp_path, collect_workers=2)
+
+    def _check_month_ticks(self, tmp_path, collect_workers):
         # An unwarmed world forces snapshot collection, whose simulated
-        # months drive the installed pipeline's clock.
+        # months drive the installed pipeline's clock: one scrape per
+        # spec, in spec order, whatever the crawl's parallelism.
         _reset()
         live = LiveTelemetry()
         path = tmp_path / "stream.jsonl"
         sink = JsonlSink(path)
         live.add_sink(sink)
-        run_all(SMALL, workers=1, experiments=["figure2"],
-                store=WorldStore(), telemetry_dir=tmp_path, live=live)
+        run_all(TWO_SHARDS, workers=1, collect_workers=collect_workers,
+                experiments=["figure2"], store=WorldStore(),
+                telemetry_dir=tmp_path, live=live)
         sink.close()
         records = [json.loads(line)
                    for line in path.read_text().strip().splitlines()]
         ticked = [r for r in records if r["month"] is not None]
-        assert ticked, "no month-stamped scrapes reached the stream"
+        assert [r["month"] for r in ticked] == [
+            spec.month_index for spec in SNAPSHOT_SPECS
+        ]
         assert all(r["kind"] == "scrape" for r in ticked)
         # Even with mid-run tick scrapes, the final cumulative payload
         # still matches the export exactly (the scraper counts its own

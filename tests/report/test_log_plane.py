@@ -2,7 +2,7 @@
 
 The contract: ``run_all(log_dir=...)`` commits a columnar log archive
 -- and the FEATURES.json derived from it -- that is **byte-identical
-across serial/thread/fork scheduling at any worker count**.  Named
+across serial/fork scheduling at any worker count**.  Named
 streams plus shipped fork deltas deliver it; this suite pins the
 resulting bytes, not just aggregate equality.
 """
@@ -62,7 +62,6 @@ class TestLogArchiveIdentity:
         features = {}
         for label, mode, workers in [
             ("serial", "auto", 1),
-            ("thread2", "thread", 2),
             ("process3", "process", 3),
         ]:
             _reset()
@@ -74,9 +73,7 @@ class TestLogArchiveIdentity:
             with LogStore.open(log_dir) as committed:
                 assert committed.n_records > 0
                 committed.verify()
-        assert archives["thread2"] == archives["serial"]
         assert archives["process3"] == archives["serial"]
-        assert features["thread2"] == features["serial"]
         assert features["process3"] == features["serial"]
 
     def test_sink_detached_after_run(self, store, tmp_path):

@@ -54,17 +54,21 @@ class TestRegistry:
 
 
 class TestSchedulingIndependence:
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="fork start method unavailable",
+    )
     def test_workers_do_not_change_results(self, store):
         serial = run_all(SMALL, workers=1, experiments=SLICE, store=store)
-        threaded = run_all(
-            SMALL, workers=4, experiments=SLICE, store=store, mode="thread"
+        forked = run_all(
+            SMALL, workers=4, experiments=SLICE, store=store, mode="process"
         )
         assert serial.mode == "serial"
-        assert threaded.mode == "thread"
+        assert forked.mode == "process"
         assert [r.experiment_id for r in serial.results] == [
-            r.experiment_id for r in threaded.results
+            r.experiment_id for r in forked.results
         ]
-        for a, b in zip(serial.results, threaded.results):
+        for a, b in zip(serial.results, forked.results):
             assert a.text == b.text
             assert a.metrics == b.metrics
 
@@ -89,10 +93,10 @@ class TestSchedulingIndependence:
 class TestReport:
     def test_report_json_shape(self, store):
         report = run_all(SMALL, workers=2, experiments=["table1", "figure2"],
-                         store=store, mode="thread")
+                         store=store, mode="serial")
         payload = report.to_json()
         assert payload["schema_version"] == 1
-        assert payload["mode"] == "thread"
+        assert payload["mode"] == "serial"
         assert payload["workers"] == 2
         assert payload["world_seconds"] >= 0
         assert payload["total_seconds"] > 0
@@ -141,20 +145,17 @@ class TestTelemetry:
     def test_counter_totals_identical_across_modes(self, store):
         # Pre-warm the world so each mode performs identical measured
         # work, then demand exact counter/histogram identity for
-        # serial, thread-pool, and fork-pool execution.
+        # serial and fork-pool execution.
         run_all(SMALL, workers=1, experiments=["figure2", "sec62"], store=store)
         serial_report, serial_counters, serial_hists = self._run_and_snapshot(
             store, "auto", 1
         )
-        _, thread_counters, thread_hists = self._run_and_snapshot(store, "thread", 3)
         _, process_counters, process_hists = self._run_and_snapshot(
             store, "process", 3
         )
         assert serial_report.mode == "serial"
         assert serial_counters
-        assert thread_counters == serial_counters
         assert process_counters == serial_counters
-        assert thread_hists == serial_hists
         assert process_hists == serial_hists
 
     @pytest.mark.skipif(
@@ -170,8 +171,7 @@ class TestTelemetry:
         exports = {}
         for label, mode, workers in [
             ("serial", "auto", 1),
-            ("thread2", "thread", 2),
-            ("thread3", "thread", 3),
+            ("process2", "process", 2),
             ("process3", "process", 3),
         ]:
             directory = tmp_path / label

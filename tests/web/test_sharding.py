@@ -13,6 +13,7 @@ import json
 
 import pytest
 
+from repro.fanout import resolve_mode
 from repro.measure.longitudinal import collect_snapshots
 from repro.obs.metrics import shared_registry
 from repro.web.population import PopulationConfig, build_web_population
@@ -21,7 +22,6 @@ from repro.web.sharding import (
     normalize_host,
     partition_domains,
     record_shard_balance,
-    resolve_shard_mode,
     shard_count_for,
     shard_of,
 )
@@ -71,9 +71,9 @@ class TestAssignment:
         assert shard_count_for(10, 4) == 4  # explicit wins
 
     def test_resolve_mode(self):
-        assert resolve_shard_mode("auto", 1) == "serial"
-        assert resolve_shard_mode("thread", 4) == "thread"
-        assert resolve_shard_mode("process", 2) == "process"
+        assert resolve_mode("auto", 1) == "serial"
+        assert resolve_mode("serial", 4) == "serial"
+        assert resolve_mode("process", 2) == "process"
 
 
 def _world_digest(population) -> str:
@@ -123,10 +123,6 @@ class TestShardedBuildIdentity:
         sharded = build_web_population(CONFIG, shards=3, workers=1)
         assert _world_digest(sharded) == _world_digest(baseline)
 
-    def test_threaded_sharded_build_identical(self, baseline):
-        sharded = build_web_population(CONFIG, shards=4, workers=2, mode="thread")
-        assert _world_digest(sharded) == _world_digest(baseline)
-
     def test_forked_sharded_build_identical(self, baseline):
         import multiprocessing
 
@@ -153,26 +149,22 @@ class TestShardedBuildIdentity:
 
 class TestShardedCollectIdentity:
     @pytest.fixture(scope="class")
-    def classic(self, baseline):
+    def one_shard(self, baseline):
         return collect_snapshots(baseline, workers=1)
 
-    def test_sharded_serial_collect_identical(self, baseline, classic):
+    def test_sharded_serial_collect_identical(self, baseline, one_shard):
         sharded = collect_snapshots(baseline, shards=3, workers=1)
-        assert _series_digest(sharded) == _series_digest(classic)
+        assert _series_digest(sharded) == _series_digest(one_shard)
 
-    def test_sharded_threaded_collect_identical(self, baseline, classic):
-        sharded = collect_snapshots(baseline, shards=4, workers=2, mode="thread")
-        assert _series_digest(sharded) == _series_digest(classic)
-        assert sharded.stable_domains == classic.stable_domains
-        assert sharded.analysis_domains == classic.analysis_domains
-
-    def test_sharded_forked_collect_identical(self, baseline, classic):
+    def test_sharded_forked_collect_identical(self, baseline, one_shard):
         import multiprocessing
 
         if "fork" not in multiprocessing.get_all_start_methods():
             pytest.skip("no fork start method on this platform")
         sharded = collect_snapshots(baseline, shards=2, workers=2, mode="process")
-        assert _series_digest(sharded) == _series_digest(classic)
+        assert _series_digest(sharded) == _series_digest(one_shard)
+        assert sharded.stable_domains == one_shard.stable_domains
+        assert sharded.analysis_domains == one_shard.analysis_domains
 
     def test_collect_emits_shard_balance_counters(self, baseline):
         registry = shared_registry()

@@ -84,7 +84,7 @@ class TestMembership:
             ),
         )
         unsharded = build_web_population(config)
-        sharded = build_web_population(config, shards=5, workers=2, mode="thread")
+        sharded = build_web_population(config, shards=5, workers=1)
         assert [s.domain for s in unsharded.stable] == [
             s.domain for s in sharded.stable
         ]
