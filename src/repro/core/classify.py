@@ -34,6 +34,7 @@ from .policy import RobotsPolicy
 __all__ = [
     "RestrictionLevel",
     "Classification",
+    "UNNAMED_AGENT",
     "classify",
     "classify_rules",
     "explicitly_allows",
@@ -74,6 +75,11 @@ class Classification:
     level: RestrictionLevel
     explicit: bool = False
     explicit_allow: bool = False
+
+
+#: The explicit-only classification of an agent no group names
+#: (immutable, so one instance serves every such query).
+UNNAMED_AGENT = Classification(level=RestrictionLevel.NO_RESTRICTIONS)
 
 
 def _rules_disallow_everything(rules: Iterable[Rule]) -> bool:
@@ -184,15 +190,24 @@ def classify(
         if isinstance(robots_txt, RobotsPolicy)
         else RobotsPolicy(robots_txt)
     )
+    if require_explicit and not policy.has_specific_groups:
+        # No group names any agent: the answer is the same for every
+        # crawler, without resolving a group.
+        return UNNAMED_AGENT
     agent_rules = policy.rules_for(user_agent)
-    allow = explicitly_allows(policy, user_agent)
     if require_explicit and not agent_rules.explicit:
-        return Classification(
-            level=RestrictionLevel.NO_RESTRICTIONS,
-            explicit=False,
-            explicit_allow=allow,
-        )
+        return UNNAMED_AGENT
     level = classify_rules(agent_rules.rules)
+    # Section 3.4's reverse intent: a group naming the agent allows the
+    # root and the merged rules disallow nothing.
+    allow = (
+        agent_rules.explicit
+        and level is RestrictionLevel.NO_RESTRICTIONS
+        and any(
+            rule.allow and pattern_matches(rule.path, "/")
+            for rule in agent_rules.rules
+        )
+    )
     return Classification(level=level, explicit=agent_rules.explicit, explicit_allow=allow)
 
 
@@ -208,17 +223,7 @@ def explicitly_allows(
         User-agent: GPTBot
         Allow: /
     """
-    if not isinstance(policy, RobotsPolicy):
-        policy = RobotsPolicy(policy)
-    agent_rules = policy.rules_for(user_agent)
-    if not agent_rules.explicit:
-        return False
-    has_root_allow = any(
-        rule.allow and pattern_matches(rule.path, "/") for rule in agent_rules.rules
-    )
-    if not has_root_allow:
-        return False
-    return classify_rules(agent_rules.rules) is RestrictionLevel.NO_RESTRICTIONS
+    return classify(policy, user_agent).explicit_allow
 
 
 def fully_disallows_any(

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set
 
-from .classify import RestrictionLevel, classify, explicitly_allows
+from .classify import RestrictionLevel, classify
 from .compiled import shared_policy_cache
-from .serialize import agents_mentioned
+from .lexer import LineKind
+from .policy import RobotsPolicy
 
 __all__ = ["AgentChange", "RobotsDiff", "diff_robots", "ChangeKind", "classify_change"]
 
@@ -84,6 +85,17 @@ class RobotsDiff:
         return [c.agent for c in self.changes if c.loosened]
 
 
+def _agents_named(policy: Optional[RobotsPolicy]) -> Set[str]:
+    """Agent tokens named in any ``User-agent`` line, lowercased."""
+    if policy is None:
+        return set()
+    return {
+        line.value.lower()
+        for line in policy.parsed.source_lines
+        if line.kind is LineKind.USER_AGENT and line.value
+    }
+
+
 _WILDCARD_PROBES = ("/", "/admin/", "/images/a.png", "/blog/post", "/search?q=x")
 
 
@@ -99,8 +111,15 @@ def diff_robots(
         agents: Agents to compare.  Defaults to the union of agents
             named in either version.
     """
-    named_before = set(agents_mentioned(before)) if before else set()
-    named_after = set(agents_mentioned(after)) if after else set()
+    # Each version is parsed at most once per process: the shared
+    # content-addressed compile cache hands back one memoized policy per
+    # distinct body, so probing N agents costs one parse, not N, and the
+    # named agents come from that parse's token stream.
+    cache = shared_policy_cache()
+    policy_before = cache.policy(before) if before is not None else None
+    policy_after = cache.policy(after) if after is not None else None
+    named_before = _agents_named(policy_before)
+    named_after = _agents_named(policy_after)
     probe_agents: Iterable[str]
     if agents is None:
         probe_agents = sorted((named_before | named_after) - {"*"})
@@ -111,21 +130,14 @@ def diff_robots(
     diff.agents_added = sorted(a for a in named_after - named_before if a != "*")
     diff.agents_removed = sorted(a for a in named_before - named_after if a != "*")
 
-    # Each version is parsed at most once per process: the shared
-    # content-addressed compile cache hands back one memoized policy per
-    # distinct body, so probing N agents costs one parse, not N.
-    cache = shared_policy_cache()
-    policy_before = cache.policy(before) if before is not None else None
-    policy_after = cache.policy(after) if after is not None else None
-
     for agent in probe_agents:
-        level_before = classify(policy_before, agent).level
-        level_after = classify(policy_after, agent).level
-        if level_before is not level_after:
-            diff.changes.append(AgentChange(agent, level_before, level_after))
-        allowed_before = policy_before is not None and explicitly_allows(policy_before, agent)
-        allowed_after = policy_after is not None and explicitly_allows(policy_after, agent)
-        if allowed_after and not allowed_before:
+        before_class = classify(policy_before, agent)
+        after_class = classify(policy_after, agent)
+        if before_class.level is not after_class.level:
+            diff.changes.append(
+                AgentChange(agent, before_class.level, after_class.level)
+            )
+        if after_class.explicit_allow and not before_class.explicit_allow:
             diff.allow_gained.append(agent)
 
     # Wildcard comparison is structural (the effective rule multiset of

@@ -105,6 +105,21 @@ class RobotsPolicy:
             tokens = tuple(t for t in group.agent_tokens() if t != "*")
             if tokens:
                 self._specific_agents.append((group, tokens))
+        #: Whether any group names an agent other than ``*``.  Without
+        #: one, every crawler gets the wildcard rules and no answer can
+        #: be explicit.
+        self.has_specific_groups = bool(self._specific_agents)
+        # The wildcard fallback is the same for every unnamed crawler,
+        # so it is merged once per policy.
+        wildcard_rules: List[Rule] = []
+        delay: Optional[float] = None
+        for group in self._parsed.wildcard_groups():
+            wildcard_rules.extend(group.rules)
+            if delay is None and group.crawl_delays:
+                delay = group.crawl_delays[0]
+        self._wildcard = AgentRules(
+            rules=tuple(wildcard_rules), explicit=False, crawl_delay=delay
+        )
 
     @classmethod
     def from_parsed(cls, parsed: ParsedRobots) -> "RobotsPolicy":
@@ -169,14 +184,7 @@ class RobotsPolicy:
                 if delay is None and group.crawl_delays:
                     delay = group.crawl_delays[0]
             return AgentRules(rules=tuple(rules), explicit=True, crawl_delay=delay)
-
-        wildcard_rules: List[Rule] = []
-        delay = None
-        for group in self._parsed.wildcard_groups():
-            wildcard_rules.extend(group.rules)
-            if delay is None and group.crawl_delays:
-                delay = group.crawl_delays[0]
-        return AgentRules(rules=tuple(wildcard_rules), explicit=False, crawl_delay=delay)
+        return self._wildcard
 
     def verdict(self, user_agent: str, path: str) -> Verdict:
         """Full evaluation result (winning rule included) for one fetch."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence, Tuple, Union
 
 from ..core.classify import (
+    UNNAMED_AGENT,
     Classification,
     RestrictionLevel,
     classify,
@@ -119,6 +120,17 @@ class PolicyCache:
         """The shared compiled policy for *text* (parsed at most once)."""
         return self._compiled.policy(text)
 
+    @staticmethod
+    def _unnamed(policy: CompiledRobots, require_explicit: bool = True) -> bool:
+        """Whether explicit-only rules answer every query on *policy*
+        alike because no group names an agent.
+
+        Such a body restricts and explicitly allows no agent; its
+        verdicts skip the agent sweeps and the persistent store (a store
+        row would cost more than the answer).
+        """
+        return require_explicit and not policy.has_specific_groups
+
     def classification(
         self,
         text: Optional[Union[str, bytes]],
@@ -132,8 +144,10 @@ class PolicyCache:
         cached = self._classifications.get(key)
         if cached is None:
             policy = self.policy(text)
-            if self._store is not None:
-                cached = self._store.get_classification(
+            unnamed = self._unnamed(policy, require_explicit)
+            store = None if unnamed else self._store
+            if store is not None:
+                cached = store.get_classification(
                     self._digest(policy, text), user_agent, require_explicit
                 )
                 if cached is not None:
@@ -141,10 +155,14 @@ class PolicyCache:
                     self._classifications[key] = cached
                     return cached
             self.misses += 1
-            cached = classify(policy, user_agent, require_explicit=require_explicit)
+            cached = (
+                UNNAMED_AGENT
+                if unnamed
+                else classify(policy, user_agent, require_explicit=require_explicit)
+            )
             self._classifications[key] = cached
-            if self._store is not None:
-                self._store.put_classification(
+            if store is not None:
+                store.put_classification(
                     self._digest(policy, text), user_agent, require_explicit, cached
                 )
         else:
@@ -167,9 +185,11 @@ class PolicyCache:
             self.hits += 1
             return cached
         policy = self.policy(text)
-        if self._store is not None:
+        unnamed = self._unnamed(policy, require_explicit)
+        store = None if unnamed else self._store
+        if store is not None:
             params = _agents_key(agents, require_explicit)
-            stored = self._store.get_flag(
+            stored = store.get_flag(
                 "full_any", self._digest(policy, text), params
             )
             if stored is not None:
@@ -177,14 +197,14 @@ class PolicyCache:
                 self._full_any[key] = stored
                 return stored
         self.misses += 1
-        cached = any(
+        cached = not unnamed and any(
             self.classification(text, agent, require_explicit).level
             is RestrictionLevel.FULL
             for agent in agents
         )
         self._full_any[key] = cached
-        if self._store is not None:
-            self._store.put_flag(
+        if store is not None:
+            store.put_flag(
                 "full_any",
                 self._digest(policy, text),
                 _agents_key(agents, require_explicit),
@@ -202,8 +222,10 @@ class PolicyCache:
         cached = self._explicit_allow.get(key)
         if cached is None:
             policy = self.policy(text)
-            if self._store is not None:
-                stored = self._store.get_flag(
+            unnamed = self._unnamed(policy)
+            store = None if unnamed else self._store
+            if store is not None:
+                stored = store.get_flag(
                     "explicit_allow", self._digest(policy, text), user_agent
                 )
                 if stored is not None:
@@ -211,10 +233,10 @@ class PolicyCache:
                     self._explicit_allow[key] = stored
                     return stored
             self.misses += 1
-            cached = explicitly_allows(policy, user_agent)
+            cached = not unnamed and explicitly_allows(policy, user_agent)
             self._explicit_allow[key] = cached
-            if self._store is not None:
-                self._store.put_flag(
+            if store is not None:
+                store.put_flag(
                     "explicit_allow", self._digest(policy, text), user_agent, cached
                 )
         else:
@@ -239,9 +261,11 @@ class PolicyCache:
             self.hits += 1
             return cached
         policy = self.policy(text)
-        if self._store is not None:
+        unnamed = self._unnamed(policy)
+        store = None if unnamed else self._store
+        if store is not None:
             params = _agents_key(agents)
-            stored = self._store.get_flag(
+            stored = store.get_flag(
                 "allow_any", self._digest(policy, text), params
             )
             if stored is not None:
@@ -249,10 +273,14 @@ class PolicyCache:
                 self._allow_any[key] = stored
                 return stored
         self.misses += 1
-        cached = any(self.explicitly_allows(text, agent) for agent in agents)
+        # Swept over the explicit-only classification memo, which the
+        # Figure 2 and 3 sweeps have mostly filled already.
+        cached = not unnamed and any(
+            self.classification(text, agent).explicit_allow for agent in agents
+        )
         self._allow_any[key] = cached
-        if self._store is not None:
-            self._store.put_flag(
+        if store is not None:
+            store.put_flag(
                 "allow_any", self._digest(policy, text), _agents_key(agents), cached
             )
         return cached

@@ -16,16 +16,18 @@ the statistics behind Figures 2-4 and Tables 3-4:
   (Table 4),
 * snapshot coverage statistics (Table 3).
 
-Performance architecture: robots.txt bodies are interned across the
-series, every aggregation groups domains by **unique body** and
-classifies each (body, agent) problem exactly once through the series'
-content-addressed :class:`~repro.measure.cache.PolicyCache`, instead of
-re-parsing identical text per domain per snapshot per figure.  All
-outputs are bit-identical to the per-domain re-parsing formulation.
+Performance architecture: the series numbers its distinct robots.txt
+bodies once and keeps one body-id column per snapshot.  Every
+aggregation computes one verdict per distinct body through the series'
+content-addressed :class:`~repro.measure.cache.PolicyCache` (Figure 3:
+one agent bitmask per body) and then counts over the id columns,
+instead of re-classifying identical text per domain per snapshot per
+figure.  All outputs are bit-identical to the per-domain formulation.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
@@ -96,8 +98,11 @@ class SnapshotSeries:
     stable_domains: List[str]
     analysis_domains: List[str]
     cache: PolicyCache = field(default_factory=PolicyCache, repr=False, compare=False)
-    _body_rows: Dict[str, List[Optional[str]]] = field(
-        default_factory=dict, repr=False, compare=False
+    _bodies: List[Optional[str]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
+    _body_ids: Dict[str, List[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
 
     def robots_for(self, domain: str, snapshot: Snapshot) -> Optional[str]:
@@ -107,32 +112,34 @@ class SnapshotSeries:
             return None
         return record.robots_txt
 
-    def analysis_bodies(self, snapshot: Snapshot) -> List[Optional[str]]:
-        """Per-domain robots bodies aligned with ``analysis_domains``.
+    def _intern(self) -> None:
+        """Number the distinct analysis bodies, once per series."""
+        if self._body_ids:
+            return
+        index: Dict[Optional[str], int] = {}
+        for snapshot in self.snapshots:
+            self._body_ids[snapshot.spec.snapshot_id] = [
+                index.setdefault(self.robots_for(domain, snapshot), len(index))
+                for domain in self.analysis_domains
+            ]
+        self._bodies = list(index)
 
-        Computed once per snapshot and memoized; bodies are interned, so
-        the row is a list of shared references, not text copies.
+    @property
+    def bodies(self) -> List[Optional[str]]:
+        """The distinct robots bodies of the analysis set, by body id."""
+        self._intern()
+        return self._bodies
+
+    def body_ids(self, snapshot: Snapshot) -> List[int]:
+        """Per-domain body ids aligned with ``analysis_domains``.
+
+        Aggregations compute one verdict per distinct body (indexed by
+        id into :attr:`bodies`) and count over these columns, so each
+        body is classified once however many domains and snapshots
+        serve it.
         """
-        key = snapshot.spec.snapshot_id
-        row = self._body_rows.get(key)
-        if row is None:
-            row = [self.robots_for(d, snapshot) for d in self.analysis_domains]
-            self._body_rows[key] = row
-        return row
-
-    def analysis_body_counts(
-        self, snapshot: Snapshot
-    ) -> List[Tuple[Optional[str], int]]:
-        """``(unique body, domain count)`` groups over the analysis set.
-
-        Aggregations that only need per-snapshot rates iterate these
-        groups instead of per-domain rows: each distinct body is then
-        classified once regardless of how many domains serve it.
-        """
-        counts: Dict[Optional[str], int] = {}
-        for body in self.analysis_bodies(snapshot):
-            counts[body] = counts.get(body, 0) + 1
-        return list(counts.items())
+        self._intern()
+        return self._body_ids[snapshot.spec.snapshot_id]
 
 
 def delta_fetch_plan(
@@ -460,29 +467,14 @@ def full_disallow_trend(
         n_sites=len(series.analysis_domains),
         n_agents=len(agents),
     ):
+        flags = [
+            cache.fully_disallows_any(body, agents, require_explicit=require_explicit)
+            for body in series.bodies
+        ]
         for snapshot in series.snapshots:
-            # Group domains by unique body within each tier, then
-            # classify each distinct body once.
-            tier_counts: Tuple[Dict[Optional[str], int], Dict[Optional[str], int]] = (
-                {},
-                {},
-            )
-            for body, is_top in zip(series.analysis_bodies(snapshot), in_top):
-                counts = tier_counts[0] if is_top else tier_counts[1]
-                counts[body] = counts.get(body, 0) + 1
-
-            def tier_hits(counts: Dict[Optional[str], int]) -> int:
-                return sum(
-                    count
-                    for body, count in counts.items()
-                    if body is not None
-                    and cache.fully_disallows_any(
-                        body, agents, require_explicit=require_explicit
-                    )
-                )
-
-            hits_top = tier_hits(tier_counts[0])
-            hits_other = tier_hits(tier_counts[1])
+            body_ids = series.body_ids(snapshot)
+            hits_top = sum(flags[i] for i, is_top in zip(body_ids, in_top) if is_top)
+            hits_other = sum(flags[i] for i in body_ids) - hits_top
             if metrics_enabled():
                 month = snapshot.spec.month_index
                 series_registry = shared_series()
@@ -514,15 +506,22 @@ def per_agent_trend(
     out: Dict[str, List[Tuple[str, float]]] = {agent: [] for agent in agents}
     population = series.analysis_domains
     cache = series.cache
+    # One bitmask per distinct body: bit i set when agents[i] is
+    # partially or fully disallowed.
+    masks = [
+        sum(
+            1 << bit
+            for bit, agent in enumerate(agents)
+            if cache.classification(body, agent).level.disallows
+        )
+        for body in series.bodies
+    ]
     for snapshot in series.snapshots:
-        groups = series.analysis_body_counts(snapshot)
-        for agent in agents:
-            hits = 0
-            for body, count in groups:
-                if body is None:
-                    continue
-                if cache.classification(body, agent).level.disallows:
-                    hits += count
+        histogram = Counter(masks[body_id] for body_id in series.body_ids(snapshot))
+        for bit, agent in enumerate(agents):
+            hits = sum(
+                count for mask, count in histogram.items() if mask >> bit & 1
+            )
             if metrics_enabled():
                 shared_series().add(
                     "measure.sites_disallowing",
@@ -562,42 +561,29 @@ def allow_and_removal_trend(
     """Figure 4: explicit allows over time and removals per period."""
     trend = AllowRemovalTrend()
     cache = series.cache
-
-    previous_restricted: Set[str] = set()
-    first = True
+    allows = [cache.allows_any(body, agents) for body in series.bodies]
+    full = [
+        cache.classification(body, removal_agent).level is RestrictionLevel.FULL
+        for body in series.bodies
+    ]
+    previous: Optional[List[int]] = None
     for snapshot in series.snapshots:
-        allows = 0
-        restricted_now: Set[str] = set()
+        body_ids = series.body_ids(snapshot)
         removed_now = 0
-        # Counting passes run over unique bodies; the restricted *set*
-        # needs domain identities, so it walks the aligned body row.
-        # Bodies repeat across snapshots (most sites never change), so
-        # the any-agent sweep memoizes per distinct body inside the
-        # series' cache -- persistently, when a store is attached.
-        for body, count in series.analysis_body_counts(snapshot):
-            if body is None:
-                continue
-            if cache.allows_any(body, agents):
-                allows += count
-        bodies = series.analysis_bodies(snapshot)
-        for domain, body in zip(series.analysis_domains, bodies):
-            if body is None:
-                continue
-            if cache.classification(body, removal_agent).level is RestrictionLevel.FULL:
-                restricted_now.add(domain)
-        if not first:
-            for domain in series.analysis_domains:
-                if domain in previous_restricted and domain not in restricted_now:
+        if previous is not None:
+            for domain, before, now in zip(
+                series.analysis_domains, previous, body_ids
+            ):
+                if full[before] and not full[now]:
                     removed_now += 1
                     trend.removal_domains.setdefault(
                         domain, snapshot.spec.snapshot_id
                     )
-        trend.explicit_allow_counts.append((snapshot.spec.snapshot_id, allows))
-        trend.removals_per_period.append(
-            (snapshot.spec.snapshot_id, 0 if first else removed_now)
+        trend.explicit_allow_counts.append(
+            (snapshot.spec.snapshot_id, sum(allows[i] for i in body_ids))
         )
-        previous_restricted = restricted_now
-        first = False
+        trend.removals_per_period.append((snapshot.spec.snapshot_id, removed_now))
+        previous = body_ids
     return trend
 
 
@@ -609,12 +595,10 @@ def first_allow_table(
     rows: List[Tuple[str, str]] = []
     seen: Set[str] = set()
     cache = series.cache
+    allows = [cache.explicitly_allows(body, agent) for body in series.bodies]
     for snapshot in series.snapshots:
-        bodies = series.analysis_bodies(snapshot)
-        for domain, body in zip(series.analysis_domains, bodies):
-            if domain in seen:
-                continue
-            if body is not None and cache.explicitly_allows(body, agent):
+        for domain, body_id in zip(series.analysis_domains, series.body_ids(snapshot)):
+            if allows[body_id] and domain not in seen:
                 rows.append((domain, snapshot.spec.snapshot_id))
                 seen.add(domain)
     return rows

@@ -11,6 +11,7 @@ uses them to regenerate EXPERIMENTS.md data.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING, Tuple
 
@@ -216,12 +217,13 @@ def build_longitudinal_bundle(
     config: Optional[PopulationConfig] = None,
     workers: Optional[int] = None,
     store: Optional["WorldStore"] = None,
+    mode: str = "auto",
 ) -> LongitudinalBundle:
     """Build the Section 3 world and crawl all fifteen snapshots.
 
-    *workers* is forwarded to
+    *workers* and *mode* are forwarded to
     :func:`~repro.measure.longitudinal.collect_snapshots`; any worker
-    count yields a bit-identical series.
+    count and mode yield a bit-identical series.
 
     When *store* is given, the population and series come from the
     content-addressed :class:`~repro.web.worldstore.WorldStore`: the
@@ -231,10 +233,10 @@ def build_longitudinal_bundle(
     if store is not None:
         return LongitudinalBundle(
             population=store.population(config),
-            series=store.series(config, workers=workers),
+            series=store.series(config, workers=workers, mode=mode),
         )
     population = build_web_population(config or PopulationConfig())
-    series = collect_snapshots(population, workers=workers)
+    series = collect_snapshots(population, workers=workers, mode=mode)
     return LongitudinalBundle(population=population, series=series)
 
 
@@ -679,31 +681,31 @@ def run_appb2_parser_comparison(
     population = population or build_web_population(config or PopulationConfig())
     probes = ["/", "/page", "/images/a.png"]
     agents = ["GPTBot", "CCBot", "anthropic-ai", "Claudebot", "randombot"]
+    # The probe grid is a pure function of the body, so it runs once per
+    # distinct body (operator templates repeat across sites) and its
+    # tallies are weighted by the number of sites serving that body.
+    site_counts = Counter(site.robots_at(24) for site in population.stable)
+    site_counts.pop(None, None)
     n_sites = 0
     n_disagree = 0
     decisions = 0
     decision_disagreements = 0
-    for site in population.stable:
-        text = site.robots_at(24)
-        if text is None:
-            continue
-        n_sites += 1
-        # The compliant side goes through the content-addressed compile
-        # cache (operator-template bodies repeat across sites).  The
-        # legacy parser reuses that parse's token stream; its grouping
-        # and matching quirks are the object under test and are rebuilt
-        # per site.
+    for text, count in site_counts.items():
+        # The legacy parser reuses the cached compliant parse's token
+        # stream; its grouping and matching quirks are the object under
+        # test.
         compliant = shared_policy_cache().policy(text)
         legacy = LegacyPolicy(compliant.parsed)
-        site_disagrees = False
-        for agent in agents:
-            for path in probes:
-                decisions += 1
-                if compliant.is_allowed(agent, path) != legacy.is_allowed(agent, path):
-                    decision_disagreements += 1
-                    site_disagrees = True
-        if site_disagrees:
-            n_disagree += 1
+        body_disagreements = sum(
+            compliant.is_allowed(agent, path) != legacy.is_allowed(agent, path)
+            for agent in agents
+            for path in probes
+        )
+        n_sites += count
+        decisions += count * len(agents) * len(probes)
+        decision_disagreements += count * body_disagreements
+        if body_disagreements:
+            n_disagree += count
     pct_sites = 100.0 * n_disagree / max(n_sites, 1)
     rows = [
         ("sites compared", n_sites),
@@ -814,26 +816,29 @@ def run_change_taxonomy(bundle: LongitudinalBundle) -> ExperimentResult:
     from ..core.diff import ChangeKind, classify_change
 
     # Group consecutive-snapshot transitions by unique (before, after)
-    # body pair and classify each distinct pair exactly once.  Bodies
-    # are interned across the series, so the dominant case -- no edit
-    # between snapshots -- collapses to one identical-pair entry per
-    # body, and identical text is NO_CHANGE by definition (an empty
-    # semantic diff) without running the differ at all.  The tallies
-    # are identical to the per-domain per-transition formulation.
+    # body-id pair and classify each distinct pair exactly once.  The
+    # dominant case -- no edit between snapshots -- collapses to one
+    # identical-pair entry per body, and identical text is NO_CHANGE
+    # by definition (an empty semantic diff) without running the
+    # differ at all.  The tallies are identical to the per-domain
+    # per-transition formulation.
     series = bundle.series
-    pair_counts: Dict[Tuple[Optional[str], Optional[str]], int] = {}
-    body_rows = [series.analysis_bodies(snapshot) for snapshot in series.snapshots]
-    for previous_row, current_row in zip(body_rows, body_rows[1:]):
+    pair_counts: Dict[Tuple[int, int], int] = {}
+    id_rows = [series.body_ids(snapshot) for snapshot in series.snapshots]
+    for previous_row, current_row in zip(id_rows, id_rows[1:]):
         for pair in zip(previous_row, current_row):
             pair_counts[pair] = pair_counts.get(pair, 0) + 1
 
+    bodies = series.bodies
     counts: Dict[ChangeKind, int] = {kind: 0 for kind in ChangeKind}
     transitions = 0
-    for (previous_text, text), n in pair_counts.items():
-        if previous_text == text:
+    for (previous_id, body_id), n in pair_counts.items():
+        if previous_id == body_id:
             kind = ChangeKind.NO_CHANGE
         else:
-            kind = classify_change(previous_text, text, AI_USER_AGENT_TOKENS)
+            kind = classify_change(
+                bodies[previous_id], bodies[body_id], AI_USER_AGENT_TOKENS
+            )
         if kind is not ChangeKind.NO_CHANGE:
             transitions += n
         counts[kind] += n

@@ -525,7 +525,7 @@ def run_all(
             possible, else serial), "serial", or "process".  Any other
             name raises ValueError.
         collect_workers: Parallelism for the snapshot crawl when the
-            bundle has to be built (forwarded to
+            bundle has to be built (forwarded with *mode* to
             :func:`~repro.measure.longitudinal.collect_snapshots`).
         telemetry_dir: When given, write ``METRICS.json`` and
             ``TRACE.jsonl`` into this directory after the run (see
@@ -723,7 +723,7 @@ def run_all(
             with world_span, _phase(profiler, "world_build", world=world_kind):
                 if needs_bundle:
                     bundle = exp.build_longitudinal_bundle(
-                        config, workers=collect_workers, store=store
+                        config, workers=collect_workers, store=store, mode=mode
                     )
                 elif needs_population:
                     store.population(config)  # warm the substrate up front

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import threading
 from typing import Dict, List, Optional, TYPE_CHECKING
@@ -130,34 +129,23 @@ class WorldStore:
     True
     """
 
-    #: Deterministic per-process store ids for metric labels: the
-    #: module-level shared store is always ``s0``.
-    _ids = itertools.count()
-
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         self._lock = threading.RLock()
         self._populations: Dict[str, WebPopulation] = {}
         self._series: Dict[str, "SnapshotSeries"] = {}
         self._registry = registry if registry is not None else shared_registry()
-        store_id = f"s{next(WorldStore._ids)}"
         # Hits AND misses are counted symmetrically (a miss is a build).
         self._population_hits = self._registry.counter(
-            "worldstore.population", store=store_id, event="hit"
+            "worldstore.population", event="hit"
         )
         self._population_misses = self._registry.counter(
-            "worldstore.population", store=store_id, event="miss"
+            "worldstore.population", event="miss"
         )
-        self._series_hits = self._registry.counter(
-            "worldstore.series", store=store_id, event="hit"
-        )
-        self._series_misses = self._registry.counter(
-            "worldstore.series", store=store_id, event="miss"
-        )
-        self._archive_hits = self._registry.counter(
-            "worldstore.archive", store=store_id, event="hit"
-        )
+        self._series_hits = self._registry.counter("worldstore.series", event="hit")
+        self._series_misses = self._registry.counter("worldstore.series", event="miss")
+        self._archive_hits = self._registry.counter("worldstore.archive", event="hit")
         self._archive_misses = self._registry.counter(
-            "worldstore.archive", store=store_id, event="miss"
+            "worldstore.archive", event="miss"
         )
 
     # -- worlds ---------------------------------------------------------------
@@ -191,11 +179,13 @@ class WorldStore:
         self,
         config: Optional[PopulationConfig] = None,
         workers: Optional[int] = None,
+        mode: str = "auto",
     ) -> "SnapshotSeries":
         """The crawled snapshot series over the canonical population.
 
-        *workers* parallelizes the first build (any worker count yields
-        a bit-identical series, so it is not part of the cache key).
+        *workers* (on a fork pool when *mode* allows) parallelizes the
+        first build; any worker count and mode yield a bit-identical
+        series, so neither is part of the cache key.
         The series is shared read-only: its snapshots are immutable
         records and its internal memos are value-idempotent.
         """
@@ -206,7 +196,9 @@ class WorldStore:
             series = self._series.get(key)
             if series is None:
                 self._series_misses.inc()
-                series = collect_snapshots(self.population(config), workers=workers)
+                series = collect_snapshots(
+                    self.population(config), workers=workers, mode=mode
+                )
                 self._series[key] = series
             else:
                 self._series_hits.inc()

@@ -116,6 +116,13 @@ class TestSeriesBodyInterning:
 
     def test_body_counts_cover_analysis_set(self, world):
         _, series = world
+        # Each snapshot's id column maps every analysis domain to its
+        # own body, and the body table holds each distinct body once.
         for snapshot in series.snapshots:
-            counts = series.analysis_body_counts(snapshot)
-            assert sum(count for _, count in counts) == len(series.analysis_domains)
+            body_ids = series.body_ids(snapshot)
+            assert len(body_ids) == len(series.analysis_domains)
+            assert [series.bodies[i] for i in body_ids] == [
+                series.robots_for(domain, snapshot)
+                for domain in series.analysis_domains
+            ]
+        assert len(set(series.bodies)) == len(series.bodies)

@@ -145,6 +145,50 @@ class TestCompileOnce:
         assert 0 < len(parses) <= len(bodies)
         assert len(tokenizes) <= len(bodies)
 
+    def test_appb2_builds_each_legacy_policy_once(self, population, calls, monkeypatch):
+        served = [site.robots_at(24) for site in population.stable]
+        bodies = set(served) - {None}
+        assert len(bodies) < len(served) - served.count(None)  # bodies repeat
+        built = _record_calls(monkeypatch, LegacyPolicy)
+        result = run_appb2_parser_comparison(population=population)
+        assert 0 < len(built) <= len(bodies)
+        # The per-body tallies, weighted by site count, equal the
+        # per-site probe grid.
+        probes = ["/", "/page", "/images/a.png"]
+        agents = ["GPTBot", "CCBot", "anthropic-ai", "Claudebot", "randombot"]
+        n_sites = n_disagree = disagreements = 0
+        for text in served:
+            if text is None:
+                continue
+            compliant = compiled.CompiledRobots(text)
+            legacy = LegacyPolicy(text)
+            wrong = sum(
+                compliant.is_allowed(agent, path) != legacy.is_allowed(agent, path)
+                for agent in agents
+                for path in probes
+            )
+            n_sites += 1
+            n_disagree += bool(wrong)
+            disagreements += wrong
+        assert result.metrics == {
+            "pct_sites_disagree": 100.0 * n_disagree / n_sites,
+            "pct_decisions_disagree": 100.0 * disagreements / (n_sites * 15),
+        }
+
+    def test_change_taxonomy_tokenizes_each_body_once(self, bundle, calls):
+        series = bundle.series
+        columns = [series.body_ids(snapshot) for snapshot in series.snapshots]
+        edited = {
+            body_id
+            for before, after in zip(columns, columns[1:])
+            for pair in zip(before, after)
+            if pair[0] != pair[1]
+            for body_id in pair
+        }
+        run_change_taxonomy(bundle)
+        _, tokenizes = calls
+        assert 0 < len(tokenizes) <= len(edited)
+
     def test_table2_parses_each_body_once(self, calls):
         measure_artist_sites(build_artist_population(n_artists=300))
         parses, tokenizes = calls

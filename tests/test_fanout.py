@@ -12,7 +12,6 @@ its own.
 import ast
 import json
 import multiprocessing
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -138,12 +137,9 @@ def _cold_run(tmp_path: Path, label: str, mode: str, workers: int):
         experiments=["figure2", "sec62"], store=WorldStore(), mode=mode,
         telemetry_dir=telemetry, log_dir=logs,
     )
-    counters = Counter()
-    for key, value in json.loads((telemetry / "METRICS.json").read_text())[
-        "counters"
-    ].items():
-        # Each WorldStore labels its counters with its own instance id.
-        counters[re.sub(r"store=s\d+", "store=*", key)] += value
+    counters = Counter(
+        json.loads((telemetry / "METRICS.json").read_text())["counters"]
+    )
     trace = [
         json.loads(line)
         for line in (telemetry / "TRACE.jsonl").read_text().splitlines()
@@ -184,6 +180,21 @@ def test_cold_battery_artifacts_identical_serial_and_fork(tmp_path):
     assert crawl_modes == [["serial"], ["process"]]
     assert _span_shape(s_trace)[("collect_shard:0001", "collect_snapshots")] == 1
     assert _span_shape(f_trace) == _span_shape(s_trace)
+
+
+def test_serial_run_crawls_serially_with_collect_workers(tmp_path):
+    shared_tracer().reset()
+    report = run_all(
+        TWO_SHARDS, workers=1, collect_workers=2, experiments=["figure2"],
+        store=WorldStore(), mode="serial", telemetry_dir=tmp_path,
+    )
+    trace = [
+        json.loads(line)
+        for line in (tmp_path / "TRACE.jsonl").read_text().splitlines()
+    ]
+    crawls = [r["attributes"] for r in trace if r["name"] == "collect_snapshots"]
+    assert report.mode == "serial"
+    assert [(c["mode"], c["shards"]) for c in crawls] == [("serial", 2)]
 
 
 # -- one pool owner ----------------------------------------------------------
